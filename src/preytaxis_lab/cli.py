@@ -26,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -343,12 +344,35 @@ def _fmt(x) -> str:
     return format(xf, ".17g")
 
 
+def _template(kinds: tuple[type, ...]) -> str:
+    """%-template of a CSV line whose fields have the given types; for
+    non-NaN values it writes what _fmt does."""
+    return ",".join(
+        "%s" if issubclass(k, str) else "%d" if issubclass(k, (int, np.integer)) else "%.17g"
+        for k in kinds
+    ) + "\n"
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows) -> int:
+    """Write tuple rows; NaN is written as an empty field.
+
+    Each line is one %-template over the row (pass Python floats, e.g.
+    from ``.tolist()``, for speed).  A line in which the template wrote
+    "nan" is formatted again field by field, so NaN floats come out empty.
+    """
+    templates: dict[tuple[type, ...], str] = {}
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = _template(kinds)
+            line = template % row
+            if "nan" in line:
+                line = ",".join(_fmt(x) for x in row) + "\n"
+            fh.write(line)
             count += 1
     return count
 
@@ -524,26 +548,13 @@ def _write_trajectory(run: _Run, traj: Trajectory):
     run.csv(
         "timeseries.csv",
         _SERIES_HEADER,
-        zip(
-            s.t,
-            s.mass_u,
-            s.mass_v,
-            s.min_u,
-            s.max_u,
-            s.min_v,
-            s.max_v,
-            s.l2_dev_u,
-            s.l2_dev_v,
-            s.V1,
-            s.V2,
-        ),
+        zip(*(getattr(s, name).tolist() for name in _SERIES_HEADER)),
     )
-    x = traj.grid.centers()
+    x = traj.grid.centers().tolist()
 
     def snap_rows():
         for st in traj.snapshots:
-            for i in range(x.size):
-                yield (st.t, x[i], st.u[i], st.v[i])
+            yield from zip(repeat(st.t), x, st.u.tolist(), st.v.tolist())
 
     run.csv("snapshots.csv", ("t", "x", "u", "v"), snap_rows())
     if traj.snapshots:
@@ -551,7 +562,7 @@ def _write_trajectory(run: _Run, traj: Trajectory):
         run.csv(
             "final_state.csv",
             ("x", "u", "v"),
-            zip(x, last.u, last.v),
+            zip(x, last.u.tolist(), last.v.tolist()),
         )
 
 

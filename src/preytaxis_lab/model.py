@@ -31,6 +31,7 @@ __all__ = [
     "HypothesisReport",
     "Regime",
     "StabilityThresholds",
+    "reaction",
     "eval_reaction",
     "compute_equilibria",
     "coexistence_by_bisection",
@@ -234,14 +235,14 @@ class MotilityModel:
             chi_is_minus_dprime=chi_is_minus_dprime,
         )
 
-    def _w(self, v):
-        m, r = _LOGISTIC_PARAMS[self.kind]
+    @staticmethod
+    def _w(r, v):
         return np.exp(np.minimum(r * (np.asarray(v, dtype=float) - 1.0), _EXP_CAP))
 
     def d(self, v):
         if self.kind in _LOGISTIC_PARAMS:
-            m, _ = _LOGISTIC_PARAMS[self.kind]
-            out = 1.0 / (m + self._w(v))
+            m, r = _LOGISTIC_PARAMS[self.kind]
+            out = 1.0 / (m + self._w(r, v))
             return float(out) if np.ndim(v) == 0 else out
         if self.kind is MotilityKind.CONSTANT:
             return (
@@ -254,7 +255,7 @@ class MotilityModel:
     def d_prime(self, v):
         if self.kind in _LOGISTIC_PARAMS:
             m, r = _LOGISTIC_PARAMS[self.kind]
-            w = self._w(v)
+            w = self._w(r, v)
             # -r*w/(m+w)^2, written to avoid overflow in w**2
             out = -r * (np.sqrt(w) / (m + w)) ** 2
             return float(out) if np.ndim(v) == 0 else out
@@ -273,6 +274,25 @@ class MotilityModel:
                 else np.full_like(np.asarray(v, dtype=float), self.chi_const)
             )
         return self.chi_eval(v)
+
+    def d_and_chi(self, v):
+        """(d(v), chi(v)), equal to the separate evaluations bit for bit.
+
+        The builtin kinds share one exponential between the two; the
+        per-element operations are those of ``d`` and ``chi``.
+        """
+        params = _LOGISTIC_PARAMS.get(self.kind)
+        if params is None:
+            return self.d(v), self.chi(v)
+        m, r = params
+        w = self._w(r, v)
+        s = m + w
+        d = 1.0 / s
+        # chi = -d' = r*w/(m+w)^2; -(-r*x) == r*x exactly
+        chi = r * (np.sqrt(w) / s) ** 2
+        if w.ndim == 0:
+            return float(d), float(chi)
+        return d, chi
 
 
 class EquilibriumKind(Enum):
@@ -310,6 +330,19 @@ class EquilibriumSet:
         return (self.extinction, self.prey_only, self.coexistence)
 
 
+def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray):
+    """Reaction rates (du, dv) on float arrays, without a domain guard.
+
+    The integrator's stages may carry round-off-level negativity; its
+    completed steps are checked separately.  ``eval_reaction`` is the
+    guarded form for arbitrary inputs.
+    """
+    Fv = kin.F(v)
+    du = kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u
+    dv = kin.f(v) - u * Fv
+    return du, dv
+
+
 def eval_reaction(kin: KineticsModel, u, v):
     """Reaction rates (du, dv) of the space-free interaction at (u, v).
 
@@ -323,9 +356,7 @@ def eval_reaction(kin: KineticsModel, u, v):
     v = np.asarray(v, dtype=float)
     if np.any(u < -SAMPLING_TOL) or np.any(v < -SAMPLING_TOL):
         raise ValueError("densities must be nonnegative")
-    Fv = kin.F(v)
-    du = kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u
-    dv = kin.f(v) - u * Fv
+    du, dv = reaction(kin, u, v)
     if du.ndim == 0:
         return float(du), float(dv)
     return du, dv

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .diagnostics import lyapunov_v1, lyapunov_v2
-from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel
+from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel, reaction
 
 __all__ = [
     "Grid1D",
@@ -138,22 +138,43 @@ class SolverConfig:
         return None
 
 
-class BlowUpError(RuntimeError):
+class _GuardError(RuntimeError):
+    """A completed step tripped a guard.
+
+    ``t`` is the time the failing step reached; ``guard`` names the check
+    ("non-finite", "blow-up limit" or "negativity"), and ``field``,
+    ``cell`` and ``value`` the density that tripped it.
+    """
+
+    summary: str
+    status: str
+
+    def __init__(
+        self, t: float, trajectory: "Trajectory", guard: str, field: str, cell: int, value: float
+    ):
+        super().__init__(
+            f"{self.summary} at t = {t:.6g}: {guard} guard tripped by {field}[{cell}] = {value:.6g}"
+        )
+        self.t = t
+        self.trajectory = trajectory
+        self.guard = guard
+        self.field = field
+        self.cell = cell
+        self.value = value
+
+
+class BlowUpError(_GuardError):
     """Raised when a field exceeds the blow-up limit or loses finiteness."""
 
-    def __init__(self, t: float, trajectory: "Trajectory"):
-        super().__init__(f"solution blew up at t = {t:.6g}")
-        self.t = t
-        self.trajectory = trajectory
+    summary = "solution blew up"
+    status = "blowup"
 
 
-class NonPhysicalError(RuntimeError):
+class NonPhysicalError(_GuardError):
     """Raised when a density drops below round-off-level negativity."""
 
-    def __init__(self, t: float, trajectory: "Trajectory"):
-        super().__init__(f"negative density beyond tolerance at t = {t:.6g}")
-        self.t = t
-        self.trajectory = trajectory
+    summary = "negative density beyond tolerance"
+    status = "nonphysical"
 
 
 def init_state(cfg: SolverConfig) -> State:
@@ -180,33 +201,53 @@ def init_state(cfg: SolverConfig) -> State:
     return State(0.0, u0, v0)
 
 
-def _reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray):
-    """Reaction terms without the domain guard (integrator stages may carry
-    round-off-level negativity; completed steps are checked separately)."""
-    Fv = kin.F(v)
-    du = kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u
-    dv = kin.f(v) - u * Fv
-    return du, dv
+def _padded_flux(rows: int, n_cells: int) -> np.ndarray:
+    """Face-flux buffer (rows, n_cells + 1) with zero-flux boundary faces;
+    the caller fills the interior faces [:, 1:-1].
+
+    The boundaries hold +0.0 (left) and -0.0 (right), so the end cells'
+    differences f - 0.0 and -0.0 - f equal f and -f exactly, signs of
+    zero included.
+    """
+    flux = np.empty((rows, n_cells + 1))
+    flux[:, :: n_cells] = (0.0, -0.0)
+    return flux
 
 
 def _divergence(flux: np.ndarray, h: float) -> np.ndarray:
-    """Cell divergence of interior face fluxes with zero boundary fluxes."""
-    out = np.empty(flux.size + 1)
-    out[0] = flux[0] / h
-    out[1:-1] = np.diff(flux) / h
-    out[-1] = -flux[-1] / h
+    """Cell divergence of a padded face flux (see _padded_flux)."""
+    out = flux[..., 1:] - flux[..., :-1]
+    out /= h
     return out
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray):
+    """(du/dt, dv/dt): divergence of the fluxes in the module docstring
+    plus the reaction terms.  The in-place steps keep the operation order
+    of the plain expressions, so the result is the same to the last bit."""
     h = cfg.grid.h
-    vf = 0.5 * (v[1:] + v[:-1])
-    uf = 0.5 * (u[1:] + u[:-1])
-    dvdx = np.diff(v) / h
-    flux_u = cfg.mot.d(vf) * (np.diff(u) / h) - uf * cfg.mot.chi(vf) * dvdx
-    flux_v = cfg.D * dvdx
-    ru, rv = _reaction(cfg.kin, u, v)
-    return _divergence(flux_u, h) + ru, _divergence(flux_v, h) + rv
+    u_r, u_l, v_r, v_l = u[1:], u[:-1], v[1:], v[:-1]
+    vf = v_r + v_l
+    vf *= 0.5
+    d, chi = cfg.mot.d_and_chi(vf)
+    dvdx = v_r - v_l
+    dvdx /= h
+    flux = _padded_flux(2, u.size)
+    flux_u = flux[0, 1:-1]  # d(vf) * (du/h) - (uf * chi(vf)) * dvdx
+    np.subtract(u_r, u_l, out=flux_u)
+    flux_u /= h
+    flux_u *= d
+    taxis = u_r + u_l
+    taxis *= 0.5
+    taxis *= chi
+    taxis *= dvdx
+    flux_u -= taxis
+    np.multiply(cfg.D, dvdx, out=flux[1, 1:-1])
+    du, dv = _divergence(flux, h)
+    ru, rv = reaction(cfg.kin, u, v)
+    du += ru
+    dv += rv
+    return du, dv
 
 
 def rhs(state: State, cfg: SolverConfig):
@@ -259,11 +300,13 @@ def imex_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float):
     h = cfg.grid.h
     vf = 0.5 * (v[1:] + v[:-1])
     uf = 0.5 * (u[1:] + u[:-1])
-    taxis_flux = -uf * cfg.mot.chi(vf) * (np.diff(v) / h)
-    ru, rv = _reaction(cfg.kin, u, v)
+    d_face, chi = cfg.mot.d_and_chi(vf)
+    taxis_flux = _padded_flux(1, u.size)[0]
+    taxis_flux[1:-1] = -uf * chi * (np.diff(v) / h)
+    ru, rv = reaction(cfg.kin, u, v)
     rhs_u = u + dt * (_divergence(taxis_flux, h) + ru)
     rhs_v = v + dt * rv
-    d_face = np.asarray(cfg.mot.d(vf), dtype=float)
+    d_face = np.asarray(d_face, dtype=float)
     u_new = _solve_diffusion(rhs_u, d_face, h, dt)
     v_new = _solve_diffusion(rhs_v, np.full(vf.size, cfg.D), h, dt)
     return u_new, v_new
@@ -341,13 +384,39 @@ class _SeriesRecorder:
         return TimeSeries(*(np.asarray(c, dtype=float) for c in cols))
 
 
+def _guard_error(t, u, v, grid, snapshots, rec) -> _GuardError:
+    """The error for a state that failed the step guard.
+
+    Guards are tried in the order non-finite (first such cell), blow-up
+    limit (largest value), negativity (smallest value).
+    """
+    fields = {"u": u, "v": v}
+    nonfinite = [name for name, x in fields.items() if not np.isfinite(x).all()]
+    if nonfinite:
+        name = nonfinite[0]
+        error, guard = BlowUpError, "non-finite"
+        cell = int(np.argmin(np.isfinite(fields[name])))
+    else:
+        name = max(fields, key=lambda k: fields[k].max())
+        if fields[name].max() > BLOWUP_LIMIT:
+            error, guard = BlowUpError, "blow-up limit"
+            cell = int(np.argmax(fields[name]))
+        else:
+            name = min(fields, key=lambda k: fields[k].min())
+            error, guard = NonPhysicalError, "negativity"
+            cell = int(np.argmin(fields[name]))
+    traj = Trajectory(grid, snapshots, rec.finalize(), error.status)
+    return error(t, traj, guard, name, cell, float(fields[name][cell]))
+
+
 def integrate(cfg: SolverConfig) -> Trajectory:
     """Advance the system to t_end, recording snapshots and scalar series.
 
     The CFL step is recomputed at every output interval and subdivided so
     steps land exactly on output times.  Raises BlowUpError (fields beyond
     1e6 or non-finite) or NonPhysicalError (densities below -1e-8); both
-    carry the partial trajectory.
+    carry the partial trajectory, the time the failing step reached, and
+    the guard, cell and value that tripped.
     """
     state = init_state(cfg)
     u, v = state.u, state.v
@@ -369,17 +438,18 @@ def integrate(cfg: SolverConfig) -> Trajectory:
         dt_cfl = stable_dt(State(t, u, v), cfg)
         n_sub = max(1, math.ceil((t_next - t) / dt_cfl))
         dt = (t_next - t) / n_sub
-        for _ in range(n_sub):
+        for i in range(n_sub):
             u, v = step(cfg, u, v, dt)
-            hi = max(float(u.max()), float(v.max()))
-            if not math.isfinite(hi) or hi > BLOWUP_LIMIT or not (
-                np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+            # max and min propagate NaN, which fails every comparison, and
+            # +-inf fail the limits: four reductions catch every non-finite
+            # value.  _guard_error works out which guard tripped.
+            if not (
+                u.max() <= BLOWUP_LIMIT
+                and v.max() <= BLOWUP_LIMIT
+                and u.min() >= NEGATIVITY_LIMIT
+                and v.min() >= NEGATIVITY_LIMIT
             ):
-                traj = Trajectory(cfg.grid, snapshots, rec.finalize(), "blowup")
-                raise BlowUpError(t, traj)
-            if min(float(u.min()), float(v.min())) < NEGATIVITY_LIMIT:
-                traj = Trajectory(cfg.grid, snapshots, rec.finalize(), "nonphysical")
-                raise NonPhysicalError(t, traj)
+                raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
         t = t_next
         if in_series[idx]:
             rec.record(t, u, v)

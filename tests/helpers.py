@@ -110,3 +110,40 @@ def modal_growth_rate(kin, mot, D, eq, ell, n_cells, n_mode, delta=1e-6, horizon
     keep = amps > 0
     slope = np.polyfit(ts[keep], np.log(amps[keep]), 1)[0]
     return float(slope), eigvals[i]
+
+
+# Reference copy of the original right-hand side and RK4 step (np.diff,
+# separate d and chi evaluations, one divergence per field).  The library's
+# fused kernel must reproduce it bit for bit.
+
+
+def _reference_divergence(flux, h):
+    out = np.empty(flux.size + 1)
+    out[0] = flux[0] / h
+    out[1:-1] = np.diff(flux) / h
+    out[-1] = -flux[-1] / h
+    return out
+
+
+def reference_rhs_arrays(cfg, u, v):
+    h = cfg.grid.h
+    kin = cfg.kin
+    vf = 0.5 * (v[1:] + v[:-1])
+    uf = 0.5 * (u[1:] + u[:-1])
+    dvdx = np.diff(v) / h
+    flux_u = cfg.mot.d(vf) * (np.diff(u) / h) - uf * cfg.mot.chi(vf) * dvdx
+    flux_v = cfg.D * dvdx
+    Fv = kin.F(v)
+    ru = kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u
+    rv = kin.f(v) - u * Fv
+    return _reference_divergence(flux_u, h) + ru, _reference_divergence(flux_v, h) + rv
+
+
+def reference_rk4_step(cfg, u, v, dt):
+    k1u, k1v = reference_rhs_arrays(cfg, u, v)
+    k2u, k2v = reference_rhs_arrays(cfg, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+    k3u, k3v = reference_rhs_arrays(cfg, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+    k4u, k4v = reference_rhs_arrays(cfg, u + dt * k3u, v + dt * k3v)
+    u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return u_new, v_new

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import modal_growth_rate
+from helpers import modal_growth_rate, reference_rk4_step
 from preytaxis_lab.model import (
+    _EXP_CAP,
     KineticsModel,
     MotilityModel,
     compute_equilibria,
 )
+from preytaxis_lab import solver
 from preytaxis_lab.solver import (
     BlowUpError,
     Grid1D,
+    NonPhysicalError,
     Perturbation,
     SolverConfig,
     State,
@@ -337,3 +340,155 @@ class TestGridValidation:
                 base_state=(np.ones(8), np.ones(8)),
                 perturbation=Perturbation(0.0, 0),
             ).base_arrays()
+
+
+def _holling3():
+    a = lambda v: np.asarray(v, dtype=float)
+    return KineticsModel.custom(
+        2.0, 1.0, 0.1, 1.0, 4.0,
+        F=lambda v: a(v) ** 2 / (1.0 + a(v) ** 2),
+        F_prime=lambda v: 2.0 * a(v) / (1.0 + a(v) ** 2) ** 2,
+        f=lambda v: a(v) * (1.0 - a(v) / 4.0),
+        f_prime=lambda v: 1.0 - a(v) / 2.0,
+    )
+
+
+CUSTOM_MOT = MotilityModel.custom(
+    d=lambda v: 1.0 / (1.0 + np.asarray(v, dtype=float) ** 2),
+    d_prime=lambda v: -2.0 * np.asarray(v, dtype=float) / (1.0 + np.asarray(v, dtype=float) ** 2) ** 2,
+    chi=lambda v: 0.3 / (1.0 + np.asarray(v, dtype=float)),
+)
+
+MOTILITIES = {
+    "d1": D1,
+    "d2": MotilityModel.d2(),
+    "d3": MotilityModel.d3(),
+    "constant": MotilityModel.constant(0.2, chi_const=0.4),
+    "custom": CUSTOM_MOT,
+}
+
+KINETICS = {
+    "lv": lambda: KineticsModel.lotka_volterra(2.0, 1.0, 0.1, 1.0, 4.0),
+    "rm": lambda: CP_KIN,
+    "custom": _holling3,
+}
+
+
+class TestFusedKernel:
+    """The fused right-hand side and RK4 step against a copy of the
+    original np.diff / separate-d-and-chi implementation."""
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    @pytest.mark.parametrize("mot_name", sorted(MOTILITIES))
+    def test_rk4_bit_identical_after_50_steps(self, mot_name, kin_name):
+        kin = KINETICS[kin_name]()
+        cfg = cp_config(
+            kin=kin,
+            mot=MOTILITIES[mot_name],
+            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
+            perturbation=Perturbation(0.2, 3),
+        )
+        st = init_state(cfg)
+        dt = stable_dt(st, cfg)
+        u, v = st.u, st.v
+        u_ref, v_ref = st.u, st.v
+        for _ in range(50):
+            u, v = rk4_step(cfg, u, v, dt)
+            u_ref, v_ref = reference_rk4_step(cfg, u_ref, v_ref, dt)
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        assert np.max(np.abs(u - st.u)) > 1e-6  # the state did move
+
+    @pytest.mark.parametrize("mot_name", sorted(MOTILITIES))
+    def test_d_and_chi_equals_separate_evaluations(self, mot_name):
+        mot = MOTILITIES[mot_name]
+        # 1e4 and -1e4 drive the exponent past its cap and to 0
+        assert 0.1 * (1e4 - 1.0) > _EXP_CAP
+        for v in (0.0, 0.7, 1.0, 3.5, 1e4, -1e4):
+            d, chi = mot.d_and_chi(v)
+            assert np.ndim(d) == 0 and np.ndim(chi) == 0
+            assert d == mot.d(v) and chi == mot.chi(v)
+        v = np.concatenate([np.linspace(0.0, 10.0, 101), [1e4, 3e4, -1e4]])
+        d, chi = mot.d_and_chi(v)
+        assert np.array_equal(d, mot.d(v)) and np.array_equal(chi, mot.chi(v))
+
+
+def _injecting(monkeypatch, at_step, field, cell, value):
+    """Rebind solver.rk4_step so that the given step's result carries
+    ``value`` at ``field[cell]``."""
+    original = solver.rk4_step
+    calls = []
+
+    def step(cfg, u, v, dt):
+        u, v = original(cfg, u, v, dt)
+        calls.append(dt)
+        if len(calls) == at_step:
+            (u if field == "u" else v)[cell] = value
+        return u, v
+
+    monkeypatch.setattr(solver, "rk4_step", step)
+    return calls
+
+
+class TestStepGuard:
+    @pytest.mark.parametrize(
+        "field,value", [("u", np.nan), ("v", np.nan), ("u", -np.inf), ("v", -np.inf), ("u", np.inf)]
+    )
+    def test_non_finite_state_is_a_blowup(self, monkeypatch, field, value):
+        calls = _injecting(monkeypatch, 7, field, 13, value)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(cp_config())
+        err = exc.value
+        assert err.trajectory.status == "blowup"
+        assert (err.guard, err.field, err.cell) == ("non-finite", field, 13)
+        assert err.value == value or (math.isnan(err.value) and math.isnan(value))
+        assert err.t == pytest.approx(sum(calls), rel=1e-12)
+
+    def test_non_finite_wins_over_negativity(self, monkeypatch):
+        original = solver.rk4_step
+
+        def step(cfg, u, v, dt):
+            u, v = original(cfg, u, v, dt)
+            u[2], v[40] = -1.0, np.nan
+            return u, v
+
+        monkeypatch.setattr(solver, "rk4_step", step)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(cp_config())
+        assert (exc.value.guard, exc.value.field, exc.value.cell) == ("non-finite", "v", 40)
+
+    def test_negative_density_names_the_cell(self, monkeypatch):
+        calls = _injecting(monkeypatch, 3, "v", 21, -1e-3)
+        with pytest.raises(NonPhysicalError) as exc:
+            integrate(cp_config())
+        err = exc.value
+        assert err.trajectory.status == "nonphysical"
+        assert (err.guard, err.field, err.cell, err.value) == ("negativity", "v", 21, -1e-3)
+        assert err.t == pytest.approx(sum(calls), rel=1e-12)
+        assert "negativity guard tripped by v[21]" in str(err)
+
+
+class TestGuardErrorDetail:
+    def test_blowup_reports_the_failing_substep(self):
+        grow = KineticsModel.custom(
+            0.0, 0.0, 0.0, 1.0, 4.0,
+            F=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
+            F_prime=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
+            f=lambda v: np.asarray(v, dtype=float) ** 2,
+            f_prime=lambda v: 2.0 * np.asarray(v, dtype=float),
+        )
+        cfg = SolverConfig(
+            kin=grow, mot=D1, D=0.1, grid=Grid1D(4.0, 16), t_end=5.0,
+            base_state=(np.ones(16), np.full(16, 4.0)),
+            perturbation=Perturbation(0.0, 0), series_count=50, snapshot_count=5,
+        )
+        with pytest.raises(BlowUpError) as exc:
+            integrate(cfg)
+        err = exc.value
+        t_last = err.trajectory.series.t[-1]
+        interval = cfg.t_end / (cfg.series_count - 1)
+        # the error names the step that failed, not the last good output
+        assert t_last < err.t <= t_last + interval
+        assert err.guard in ("blow-up limit", "non-finite") and err.field == "v"
+        assert 0 <= err.cell < 16
+        assert not err.value <= 1e6
+        assert f"v[{err.cell}]" in str(err)
