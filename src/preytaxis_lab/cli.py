@@ -24,8 +24,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
@@ -82,26 +81,11 @@ class MissingEquilibriumError(Exception):
     """The requested analysis needs a coexistence state that does not exist."""
 
 
-_SCHEMA = {
-    "model": {"kind", "gamma", "theta", "alpha", "mu", "K", "lambda"},
-    "motility": {"kind", "d_const", "chi_const"},
-    "domain": {"length", "n_cells"},
-    "solver": {"scheme", "cfl_safety", "t_end", "snapshot_count", "epsilon", "seed"},
-    "analysis": {"D", "ell", "n_max", "eta_grid"},
-    "output": {"directory"},
-}
-
-_MODEL_KINDS = {
-    "lv": "lv",
-    "lotka_volterra": "lv",
-    "rm": "rm",
-    "rosenzweig_macarthur": "rm",
-}
-_MOTILITY_KINDS = {"d1", "d2", "d3", "constant", "custom"}
-
-
 @dataclass
 class RunConfig:
+    """Run settings with their defaults; ``_FIELDS`` maps config keys onto
+    these attributes."""
+
     model_kind: str = "rm"
     gamma: float = 2.0
     theta: float = 1.0
@@ -139,72 +123,115 @@ class RunConfig:
         return self.length if self.ell is None else self.ell
 
     def echo(self) -> dict:
-        return {
-            "model": {
-                "kind": self.model_kind,
-                "gamma": self.gamma,
-                "theta": self.theta,
-                "alpha": self.alpha,
-                "mu": self.mu,
-                "K": self.K,
-                "lambda": self.lam,
-            },
-            "motility": {
-                "kind": self.mot_kind,
-                "d_const": self.d_const,
-                "chi_const": self.chi_const,
-            },
-            "domain": {"length": self.length, "n_cells": self.n_cells},
-            "solver": {
-                "scheme": self.scheme,
-                "cfl_safety": self.cfl_safety,
-                "t_end": self.t_end,
-                "snapshot_count": self.snapshot_count,
-                "epsilon": self.epsilon,
-                "seed": self.seed,
-            },
-            "analysis": {
-                "D": self.D_values,
-                "ell": self.analysis_ell,
-                "n_max": self.n_max,
-                "eta_grid_points": int(self.eta_grid.size),
-            },
-            "output": {"directory": self.out_dir},
-        }
+        """The config as the manifest records it, one entry per ``_FIELDS`` row."""
+        out: dict = {}
+        for section, key, attr, _, _ in _FIELDS:
+            value = getattr(self, attr)
+            if key == "ell":
+                value = self.analysis_ell
+            elif key == "eta_grid":
+                key, value = "eta_grid_points", int(value.size)
+            out.setdefault(section, {})[key] = value
+        return out
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+# Config value parsers: each takes the stripped raw string and raises
+# ValueError with the reason it is rejected.
+
+
+def _finite(raw: str) -> float:
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}={raw!r} is not a number") from exc
+        x = float(raw)
+    except ValueError:
+        raise ValueError("not a number") from None
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _integer(raw: str) -> int:
     try:
         return int(raw, 10)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}={raw!r} is not an integer") from exc
+    except ValueError:
+        raise ValueError("not an integer") from None
 
 
-def _parse_value_list(section: str, key: str, raw: str) -> list[float]:
+def _choice(*names: str, **aliases: str):
+    """Parser of a name from ``names``, or of an alias mapped to one."""
+    options = {**{name: name for name in names}, **aliases}
+
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"unknown, expected one of {sorted(options)}")
+        return options[raw]
+
+    return parse
+
+
+def _value_list(raw: str) -> list[float]:
     """Scalar, comma list, or 'lin:lo:hi:n' / 'log:lo:hi:n' range."""
-    raw = raw.strip()
     if raw.startswith(("lin:", "log:")):
         parts = raw.split(":")
         if len(parts) != 4:
-            raise ConfigError(f"[{section}] {key}: range needs kind:lo:hi:count")
-        lo = _parse_float(section, key, parts[1])
-        hi = _parse_float(section, key, parts[2])
-        count = _parse_int(section, key, parts[3])
+            raise ValueError("range needs kind:lo:hi:count")
+        lo, hi, count = _finite(parts[1]), _finite(parts[2]), _integer(parts[3])
         if count < 2:
-            raise ConfigError(f"[{section}] {key}: range needs count >= 2")
+            raise ValueError("range needs count >= 2")
         if parts[0] == "log":
             if lo <= 0 or hi <= 0:
-                raise ConfigError(f"[{section}] {key}: log range needs positive bounds")
+                raise ValueError("log range needs positive bounds")
             return list(np.geomspace(lo, hi, count))
         return list(np.linspace(lo, hi, count))
-    return [_parse_float(section, key, tok) for tok in raw.split(",") if tok.strip()]
+    values = [_finite(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("empty value list")
+    return values
+
+
+# One row per config key: (section, key, RunConfig attribute, parser, range
+# check).  A range check is (predicate on the attribute, message) or None;
+# unset optional keys (None) pass.  The constructors in model/solver repeat
+# some checks for library callers; these rows guard file input for every
+# subcommand, including those that never build a grid or solver.
+_FIELDS = (
+    ("model", "kind", "model_kind",
+     _choice("lv", "rm", lotka_volterra="lv", rosenzweig_macarthur="rm"), None),
+    ("model", "gamma", "gamma", _finite, None),
+    ("model", "theta", "theta", _finite, None),
+    ("model", "alpha", "alpha", _finite, None),
+    ("model", "mu", "mu", _finite, None),
+    ("model", "K", "K", _finite, None),
+    ("model", "lambda", "lam", _finite, None),
+    ("motility", "kind", "mot_kind",
+     _choice("d1", "d2", "d3", "constant", "custom"), None),
+    ("motility", "d_const", "d_const", _finite, None),
+    ("motility", "chi_const", "chi_const", _finite, None),
+    ("domain", "length", "length", _finite,
+     (lambda x: x > 0, "domain length must be positive")),
+    ("domain", "n_cells", "n_cells", _integer,
+     (lambda n: n >= 8, "n_cells must be >= 8")),
+    ("solver", "scheme", "scheme", _choice("rk4", "imex"), None),
+    ("solver", "cfl_safety", "cfl_safety", _finite,
+     (lambda c: 0.0 < c <= 1.0, "cfl_safety must lie in (0, 1]")),
+    ("solver", "t_end", "t_end", _finite, (lambda t: t > 0, "t_end must be positive")),
+    ("solver", "snapshot_count", "snapshot_count", _integer,
+     (lambda n: n >= 2, "snapshot_count must be >= 2")),
+    ("solver", "epsilon", "epsilon", _finite,
+     (lambda e: e >= 0, "epsilon must be >= 0")),
+    ("solver", "seed", "seed", _integer,
+     (lambda s: s >= 0, "seed must be a nonnegative 64-bit integer")),
+    ("analysis", "D", "D_values", _value_list,
+     (lambda Ds: all(D > 0 for D in Ds), "diffusivity D must be positive")),
+    ("analysis", "ell", "ell", _finite,
+     (lambda ell: ell is None or ell > 0, "domain length must be positive")),
+    ("analysis", "n_max", "n_max", _integer,
+     (lambda n: n is None or n >= 0, "n_max must be >= 0")),
+    ("analysis", "eta_grid", "eta_grid", lambda raw: np.array(_value_list(raw)),
+     (lambda eta: bool(np.all(eta > 0)), "eta_grid values must be positive")),
+    ("output", "directory", "out_dir", str, None),
+)
+_ROWS = {(row[0], row[1]): row for row in _FIELDS}
+_SECTIONS = {row[0] for row in _FIELDS}
 
 
 def load_config(path: str) -> RunConfig:
@@ -223,67 +250,23 @@ def load_config(path: str) -> RunConfig:
 
     rc = RunConfig()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            row = _ROWS.get((section, key))
+            if row is None:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            _apply(rc, section, key, raw)
+            try:
+                value = row[3](raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}={raw!r}: {exc}") from exc
+            setattr(rc, row[2], value)
     return rc
 
 
-def _apply(rc: RunConfig, section: str, key: str, raw: str):
-    raw = raw.strip()
-    if section == "model":
-        if key == "kind":
-            if raw not in _MODEL_KINDS:
-                raise ConfigError(f"unknown model kind {raw!r}")
-            rc.model_kind = _MODEL_KINDS[raw]
-        elif key == "lambda":
-            rc.lam = _parse_float(section, key, raw)
-        else:
-            setattr(rc, key, _parse_float(section, key, raw))
-    elif section == "motility":
-        if key == "kind":
-            if raw not in _MOTILITY_KINDS:
-                raise ConfigError(f"unknown motility kind {raw!r}")
-            rc.mot_kind = raw
-        else:
-            setattr(rc, key, _parse_float(section, key, raw))
-    elif section == "domain":
-        if key == "length":
-            rc.length = _parse_float(section, key, raw)
-        else:
-            rc.n_cells = _parse_int(section, key, raw)
-    elif section == "solver":
-        if key == "scheme":
-            if raw not in ("rk4", "imex"):
-                raise ConfigError(f"unknown scheme {raw!r}")
-            rc.scheme = raw
-        elif key in ("snapshot_count", "seed"):
-            setattr(rc, key, _parse_int(section, key, raw))
-        else:
-            setattr(rc, key, _parse_float(section, key, raw))
-    elif section == "analysis":
-        if key == "D":
-            rc.D_values = _parse_value_list(section, key, raw)
-            if not rc.D_values:
-                raise ConfigError("[analysis] D: empty value list")
-        elif key == "ell":
-            rc.ell = _parse_float(section, key, raw)
-        elif key == "n_max":
-            rc.n_max = _parse_int(section, key, raw)
-        else:
-            eta = np.asarray(_parse_value_list(section, key, raw), dtype=float)
-            if eta.size < 1:
-                raise ConfigError("[analysis] eta_grid: empty grid")
-            rc.eta_grid = eta
-    else:  # output
-        rc.out_dir = raw
-
-
 def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
-    """Instantiate the kinetics/motility models; range errors map to exit 3."""
+    """Instantiate the kinetics/motility models and run the range checks of
+    ``_FIELDS``; range errors map to exit 3."""
     try:
         if rc.model_kind == "lv":
             kin = KineticsModel.lotka_volterra(rc.gamma, rc.theta, rc.alpha, rc.mu, rc.K)
@@ -291,42 +274,18 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
             kin = KineticsModel.rosenzweig_macarthur(
                 rc.gamma, rc.theta, rc.mu, rc.K, rc.lam, rc.alpha
             )
-        if rc.mot_kind == "d1":
-            mot = MotilityModel.d1()
-        elif rc.mot_kind == "d2":
-            mot = MotilityModel.d2()
-        elif rc.mot_kind == "d3":
-            mot = MotilityModel.d3()
+        if rc.mot_kind in ("d1", "d2", "d3"):
+            mot = getattr(MotilityModel, rc.mot_kind)()
         else:
             # 'custom' in a file config carries constant coefficients too;
             # function-valued motilities are library-level only.
             mot = MotilityModel.constant(rc.d_const, rc.chi_const)
-        _validate_ranges(rc)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
+    for _, _, attr, _, check in _FIELDS:
+        if check is not None and not check[0](getattr(rc, attr)):
+            raise ModelError(check[1])
     return kin, mot
-
-def _validate_ranges(rc: RunConfig):
-    if any(D <= 0 for D in rc.D_values):
-        raise ValueError("diffusivity D must be positive")
-    if rc.n_cells < 8:
-        raise ValueError("n_cells must be >= 8")
-    if rc.length <= 0 or rc.analysis_ell <= 0:
-        raise ValueError("domain length must be positive")
-    if not 0.0 < rc.cfl_safety <= 1.0:
-        raise ValueError("cfl_safety must lie in (0, 1]")
-    if rc.t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rc.epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if rc.snapshot_count < 2:
-        raise ValueError("snapshot_count must be >= 2")
-    if rc.seed < 0:
-        raise ValueError("seed must be a nonnegative 64-bit integer")
-    if np.any(rc.eta_grid <= 0):
-        raise ValueError("eta_grid values must be positive")
-    if rc.n_max is not None and rc.n_max < 0:
-        raise ValueError("n_max must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +603,7 @@ def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):
             regime = "mixed"
         pattern = ""
         if simulate:
-            cfg = _solver_config(
-                RunConfig(**{**rc.__dict__, "D_values": [D]}), kin, mot, eqs
-            )
+            cfg = _solver_config(replace(rc, D_values=[D]), kin, mot, eqs)
             try:
                 traj = integrate(cfg)
                 pattern = classify_pattern(traj).label.value
@@ -663,16 +620,7 @@ def cmd_sweep(rc: RunConfig, simulate: bool = False) -> int:
     if len(rc.D_values) < 2:
         raise ConfigError("sweep needs at least two diffusivity values")
     kin, mot = build_models(rc)
-    max_workers = os.environ.get("PREYTAXIS_THREADS")
-    workers = max(1, int(max_workers)) if max_workers else min(8, os.cpu_count() or 1)
-    results: list[tuple] = [None] * len(rc.D_values)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_sweep_row, rc, kin, mot, D, simulate): i
-            for i, D in enumerate(rc.D_values)
-        }
-        for fut, i in futures.items():
-            results[i] = fut.result()
+    results = [_sweep_row(rc, kin, mot, D, simulate) for D in rc.D_values]
     header = ("D", "n_unstable_hopf", "n_unstable_steady", "predicted_regime", "error")
     if simulate:
         header = header[:4] + ("pattern_class",) + header[4:]
@@ -700,8 +648,15 @@ def main(argv: list[str] | None = None) -> int:
         description="Analysis and simulation of predator-prey dynamics with "
         "prey-density-dependent motility on 1D intervals.",
     )
+    commands = {
+        "equilibria": cmd_equilibria,
+        "dispersion": cmd_dispersion,
+        "bifurcation": cmd_bifurcation,
+        "simulate": cmd_simulate,
+        "sweep": lambda rc: cmd_sweep(rc, simulate=args.simulate),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("equilibria", "dispersion", "bifurcation", "simulate", "sweep"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", help="output directory (overrides [output])")
@@ -722,15 +677,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be nonnegative")
             rc.seed = args.seed
-        if args.command == "equilibria":
-            return cmd_equilibria(rc)
-        if args.command == "dispersion":
-            return cmd_dispersion(rc)
-        if args.command == "bifurcation":
-            return cmd_bifurcation(rc)
-        if args.command == "simulate":
-            return cmd_simulate(rc)
-        return cmd_sweep(rc, simulate=args.simulate)
+        return commands[args.command](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,6 +41,9 @@ from preytaxis_lab.solver import (
     State,
 )
 
+# Long simulations; `pytest -m "not slow"` runs the rest of the suite.
+pytestmark = pytest.mark.slow
+
 CP_KIN = KineticsModel.rosenzweig_macarthur(2, 1, 1, 4, 1)
 CP_EQS = compute_equilibria(CP_KIN)
 CP_CO = CP_EQS.coexistence

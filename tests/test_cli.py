@@ -38,6 +38,24 @@ def read_manifest(outdir):
         return json.load(fh)
 
 
+def set_key(body, section, key, value):
+    """Set ``key = value`` in ``[section]`` of an INI body, adding the line
+    when the key is absent."""
+    lines = body.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next(
+        (i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+        len(lines),
+    )
+    for i in range(start + 1, end):
+        if lines[i].split("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(start + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestEquilibriaCommand:
     def test_cp_coexistence_row(self, tmp_path):
         cfg = write_config(tmp_path, CP_MODEL)
@@ -319,12 +337,8 @@ class TestSweepCommand:
     def test_rows_ordered_and_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP)
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        os.environ["PREYTAXIS_THREADS"] = "3"
-        try:
-            assert main(["sweep", "--config", cfg, "--out", out_a]) == 0
-            assert main(["sweep", "--config", cfg, "--out", out_b]) == 0
-        finally:
-            del os.environ["PREYTAXIS_THREADS"]
+        assert main(["sweep", "--config", cfg, "--out", out_a]) == 0
+        assert main(["sweep", "--config", cfg, "--out", out_b]) == 0
         with open(os.path.join(out_a, "sweep.csv"), "rb") as fa:
             a = fa.read()
         with open(os.path.join(out_b, "sweep.csv"), "rb") as fb:
@@ -403,3 +417,88 @@ class TestConfigStrictness:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["equilibria", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command", ["equilibria", "dispersion"])
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ((("domain", "n_cells", "4"),), 3),
+            ((("domain", "length", "-1"),), 3),
+            ((("solver", "cfl_safety", "0"),), 3),
+            ((("solver", "cfl_safety", "1.5"),), 3),
+            ((("solver", "t_end", "0"),), 3),
+            ((("solver", "snapshot_count", "1"),), 3),
+            ((("solver", "epsilon", "-0.1"),), 3),
+            ((("solver", "seed", "-1"),), 3),
+            ((("analysis", "D", "0.1,-1"),), 3),
+            ((("analysis", "ell", "0"),), 3),
+            ((("analysis", "n_max", "-1"),), 3),
+            ((("analysis", "eta_grid", "lin:0:1:5"),), 3),
+            ((("model", "lambda", "0"),), 3),
+            ((("model", "K", "0"),), 3),
+            ((("motility", "kind", "constant"), ("motility", "d_const", "-1")), 3),
+            ((("solver", "scheme", "euler"),), 2),
+            ((("domain", "n_cells", "3.5"),), 2),
+        ],
+        ids=lambda v: (
+            ",".join(f"{k}={x}" for _, k, x in v) if isinstance(v, tuple) else None
+        ),
+    )
+    def test_out_of_range_value_exit_code(self, tmp_path, command, overrides, code):
+        body = SIMULATE_SMALL
+        for section, key, value in overrides:
+            body = set_key(body, section, key, value)
+        cfg = write_config(tmp_path, body)
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == code
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("dispersion", "analysis", "D", "nan"),
+            ("sweep", "analysis", "D", "0.1,nan"),
+            ("sweep", "analysis", "D", "lin:0.1:inf:3"),
+            ("bifurcation", "analysis", "eta_grid", "log:nan:1:5"),
+            ("simulate", "solver", "t_end", "nan"),
+            ("simulate", "solver", "t_end", "inf"),
+            ("simulate", "solver", "epsilon", "nan"),
+            ("dispersion", "domain", "length", "inf"),
+            ("dispersion", "analysis", "ell", "nan"),
+            ("equilibria", "model", "gamma", "inf"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, command, section, key, value):
+        cfg = write_config(tmp_path, set_key(SIMULATE_SMALL, section, key, value))
+        out = str(tmp_path / "out")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    def test_manifest_config_echo(self, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = os.path.join(CONFIGS, "case1.ini")
+        assert main(["equilibria", "--config", cfg, "--out", out]) == 0
+        config = read_manifest(out)["config"]
+        del config["output"]["directory"]
+        assert config == {
+            "model": {
+                "kind": "rm", "gamma": 2.0, "theta": 1.0, "alpha": 0.0,
+                "mu": 1.0, "K": 4.0, "lambda": 1.0,
+            },
+            "motility": {"kind": "d1", "d_const": 1.0, "chi_const": 0.0},
+            "domain": {"length": 25.132741228718345, "n_cells": 256},
+            "solver": {
+                "scheme": "rk4", "cfl_safety": 0.4, "t_end": 500.0,
+                "snapshot_count": 200, "epsilon": 0.01, "seed": 0,
+            },
+            "analysis": {
+                "D": [0.1], "ell": 25.132741228718345, "n_max": None,
+                "eta_grid_points": 200,
+            },
+            "output": {},
+        }
