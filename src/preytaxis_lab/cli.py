@@ -219,7 +219,7 @@ _FIELDS = (
     ("solver", "epsilon", "epsilon", _finite,
      (lambda e: e >= 0, "epsilon must be >= 0")),
     ("solver", "seed", "seed", _integer,
-     (lambda s: s >= 0, "seed must be a nonnegative 64-bit integer")),
+     (lambda s: 0 <= s < 2**64, "seed must be a nonnegative 64-bit integer")),
     ("analysis", "D", "D_values", _value_list,
      (lambda Ds: all(D > 0 for D in Ds), "diffusivity D must be positive")),
     ("analysis", "ell", "ell", _finite,
@@ -674,8 +674,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             rc.out_dir = args.out
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be a nonnegative 64-bit integer")
             rc.seed = args.seed
         return commands[args.command](rc)
     except ConfigError as exc:

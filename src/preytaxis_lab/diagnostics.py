@@ -20,7 +20,6 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import Equilibrium, EquilibriumKind, KineticsKind, KineticsModel
 
@@ -65,6 +64,10 @@ def _zeta_closed(kin: KineticsModel, omega: float, v):
 
 def zeta_by_quadrature(kin: KineticsModel, omega: float, v: float) -> float:
     """Z_omega(v) by adaptive quadrature (absolute tolerance 1e-10)."""
+    # Imported here: only custom kinetics reach this, and SciPy would
+    # otherwise dominate the start-up of every CLI call.
+    from scipy.integrate import quad
+
     F_omega = float(kin.F(omega))
     val, _ = quad(
         lambda s: 1.0 - F_omega / float(kin.F(s)), omega, v, epsabs=QUAD_TOL, limit=200

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .diagnostics import lyapunov_v1, lyapunov_v2
 from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel, reaction
@@ -283,6 +282,10 @@ def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float):
 def _solve_diffusion(q: np.ndarray, coef_face: np.ndarray, h: float, dt: float):
     """Solve (I - dt*L) q_new = q with L the conservative diffusion
     operator built from the given face coefficients (zero-flux ends)."""
+    # Imported here: only IMEX reaches this, and SciPy would otherwise
+    # dominate the start-up of every CLI call.
+    from scipy.linalg import solve_banded
+
     n = q.size
     r = dt / (h * h)
     ab = np.zeros((3, n))

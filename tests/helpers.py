@@ -2,9 +2,13 @@
 from the library code paths they check."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import preytaxis_lab
 from preytaxis_lab.solver import (
     Grid1D,
     Perturbation,
@@ -147,3 +151,18 @@ def reference_rk4_step(cfg, u, v, dt):
     u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return u_new, v_new
+
+
+def run_fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this ``preytaxis_lab``.
+
+    Modules the test process has imported (SciPy among them) do not carry
+    over, so the child's ``sys.modules`` shows what the code itself loads.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(preytaxis_lab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )

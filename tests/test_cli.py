@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import run_fresh_python
 from preytaxis_lab.cli import main
 
 CP_MODEL = """
@@ -418,6 +419,32 @@ class TestConfigStrictness:
     def test_missing_config_file(self, tmp_path):
         assert main(["equilibria", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_config_seed_past_64_bits_exits_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, set_key(SIMULATE_SMALL, "solver", "seed", "18446744073709551616")
+        )
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 3
+        assert "seed must be a nonnegative 64-bit integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_cli_seed_past_64_bits_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, SIMULATE_SMALL)
+        out = str(tmp_path / "out")
+        argv = ["simulate", "--config", cfg, "--out", out, "--seed", "18446744073709551616"]
+        assert main(argv) == 2
+        assert not os.path.exists(out)
+
+    def test_largest_64_bit_seed_runs(self, tmp_path):
+        top = str(2**64 - 1)
+        body = set_key(SIMULATE_SMALL, "solver", "seed", top)
+        cfg = write_config(tmp_path, set_key(body, "solver", "t_end", "1"))
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["simulate", "--config", cfg, "--out", out_a]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out_b, "--seed", top]) == 0
+        assert read_manifest(out_a)["prng"]["seed"] == 2**64 - 1
+        assert read_manifest(out_b)["prng"]["seed"] == 2**64 - 1
+
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -502,3 +529,41 @@ class TestConfigTable:
             },
             "output": {},
         }
+
+
+# Runs each argv through ``main`` in one interpreter and prints, as its last
+# line, whether SciPy had been imported after each run.
+SCIPY_PROBE = """
+import json, sys
+from preytaxis_lab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    results.append([argv[0], main(argv), "scipy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+class TestScipyImportedOnFirstUse:
+    def test_builtin_rk4_path_leaves_scipy_unloaded(self, tmp_path):
+        case1 = os.path.join(CONFIGS, "case1.ini")
+        with open(case1, encoding="utf-8") as fh:
+            short = set_key(fh.read(), "solver", "t_end", "1")
+        rk4 = write_config(tmp_path, short, name="rk4.ini")
+        imex = write_config(
+            tmp_path, set_key(short, "solver", "scheme", "imex"), name="imex.ini"
+        )
+        runs = [
+            [cmd, "--config", case1, "--out", str(tmp_path / cmd)]
+            for cmd in ("equilibria", "dispersion", "bifurcation")
+        ]
+        runs.append(["simulate", "--config", rk4, "--out", str(tmp_path / "rk4")])
+        runs.append(["simulate", "--config", imex, "--out", str(tmp_path / "imex")])
+        res = run_fresh_python(SCIPY_PROBE, json.dumps(runs))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == [
+            ["equilibria", 0, False],
+            ["dispersion", 0, False],
+            ["bifurcation", 0, False],
+            ["simulate", 0, False],
+            ["simulate", 0, True],
+        ]

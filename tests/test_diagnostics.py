@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from helpers import run_fresh_python
 from preytaxis_lab.diagnostics import (
+    QUAD_TOL,
     DecayVerdict,
     InsufficientDataError,
     PatternLabel,
@@ -129,6 +132,31 @@ class TestZeta:
         assert lyapunov_v1(u, vv, kin_c, 0.1) == pytest.approx(
             lyapunov_v1(u, vv, CP_KIN, 0.1), abs=1e-8
         )
+
+    def test_quadrature_imports_scipy_on_first_use(self):
+        probe = """
+import json, sys
+import numpy as np
+from preytaxis_lab.diagnostics import lyapunov_v1
+from preytaxis_lab.model import KineticsModel
+rm = KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.0, 4.0, 1.0)
+custom = KineticsModel.custom(
+    2.0, 1.0, 0.0, 1.0, 4.0, F=rm.F, F_prime=rm.F_prime, f=rm.f, f_prime=rm.f_prime
+)
+u, v = np.full(64, 1.0), np.linspace(0.5, 3.5, 64)
+loaded = ["scipy.integrate" in sys.modules]
+closed = lyapunov_v1(u, v, rm, 0.1)
+loaded.append("scipy.integrate" in sys.modules)
+quadrature = lyapunov_v1(u, v, custom, 0.1)
+loaded.append("scipy.integrate" in sys.modules)
+print(json.dumps([loaded, closed, quadrature]))
+"""
+        res = run_fresh_python(probe)
+        assert res.returncode == 0, res.stderr
+        loaded, closed, quadrature = json.loads(res.stdout.splitlines()[-1])
+        assert loaded == [False, False, True]
+        # 64 cells of width 0.1, each Z within QUAD_TOL of the closed form
+        assert quadrature == pytest.approx(closed, rel=0, abs=64 * 0.1 * QUAD_TOL)
 
 
 class TestLyapunovV1:
