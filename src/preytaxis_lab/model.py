@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,22 @@ FD_STEP = 1e-6
 # Cap for exponent arguments: keeps exp finite so the motility evaluators
 # degrade gracefully on blown-up states instead of emitting inf/nan.
 _EXP_CAP = 700.0
+
+
+def _operands(*values):
+    """Read-only 0-d float arrays of ``values``.
+
+    As ufunc operands they give the float64 arithmetic of the Python
+    floats, without the conversion NumPy makes of a Python scalar on every
+    call, which on 256-cell arrays costs about half as much as the call.
+    """
+    arrays = tuple(np.array(x, dtype=float) for x in values)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_ONE, _CAP = _operands(1.0, _EXP_CAP)
 
 
 class KineticsKind(Enum):
@@ -114,6 +131,11 @@ class KineticsModel:
             KineticsKind.CUSTOM, gamma, theta, alpha, mu, K, 1.0, F, F_prime, f, f_prime
         )
 
+    @cached_property
+    def _rate_operands(self):
+        """(gamma, theta, alpha) as ufunc operands for ``reaction``."""
+        return _operands(self.gamma, self.theta, self.alpha)
+
     # Functional response and prey kinetics -------------------------------
 
     def F(self, v):
@@ -175,6 +197,7 @@ _LOGISTIC_PARAMS = {
     MotilityKind.D2: (1.0, 0.1),
     MotilityKind.D3: (9.0, 2.0),
 }
+_LOGISTIC_OPERANDS = {kind: _operands(*mr) for kind, mr in _LOGISTIC_PARAMS.items()}
 
 
 @dataclass(frozen=True)
@@ -275,22 +298,39 @@ class MotilityModel:
             )
         return self.chi_eval(v)
 
-    def d_and_chi(self, v):
+    def d_and_chi(self, v, out=None):
         """(d(v), chi(v)), equal to the separate evaluations bit for bit.
 
         The builtin kinds share one exponential between the two; the
-        per-element operations are those of ``d`` and ``chi``.
+        per-element operations are those of ``d`` and ``chi``.  ``out``, a
+        pair of float arrays shaped like ``v``, receives (d, chi) and is
+        returned; the builtin kinds then allocate nothing, while constant
+        and custom kinds evaluate as usual and copy into it.
         """
-        params = _LOGISTIC_PARAMS.get(self.kind)
+        params = _LOGISTIC_OPERANDS.get(self.kind)
         if params is None:
-            return self.d(v), self.chi(v)
+            d, chi = self.d(v), self.chi(v)
+            if out is None:
+                return d, chi
+            np.copyto(out[0], d)
+            np.copyto(out[1], chi)
+            return out
         m, r = params
-        w = self._w(r, v)
-        s = m + w
-        d = 1.0 / s
-        # chi = -d' = r*w/(m+w)^2; -(-r*x) == r*x exactly
-        chi = r * (np.sqrt(w) / s) ** 2
-        if w.ndim == 0:
+        v = np.asarray(v, dtype=float)
+        d, chi = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
+        # chi holds w = exp(min(r*(v - 1), cap)) and d holds s = m + w
+        np.subtract(v, _ONE, out=chi)
+        np.multiply(r, chi, out=chi)
+        np.minimum(chi, _CAP, out=chi)
+        np.exp(chi, out=chi)
+        np.add(m, chi, out=d)
+        # chi = -d' = r*w/(m+w)^2 as r*(sqrt(w)/s)**2; -(-r*x) == r*x exactly
+        np.sqrt(chi, out=chi)
+        np.divide(chi, d, out=chi)
+        np.multiply(chi, chi, out=chi)
+        np.multiply(r, chi, out=chi)
+        np.divide(_ONE, d, out=d)
+        if out is None and v.ndim == 0:
             return float(d), float(chi)
         return d, chi
 
@@ -330,16 +370,37 @@ class EquilibriumSet:
         return (self.extinction, self.prey_only, self.coexistence)
 
 
-def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray):
+def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None):
     """Reaction rates (du, dv) on float arrays, without a domain guard.
+
+        du = gamma*u*F(v) - theta*u - alpha*u*u
+        dv = f(v) - u*F(v)
 
     The integrator's stages may carry round-off-level negativity; its
     completed steps are checked separately.  ``eval_reaction`` is the
-    guarded form for arbitrary inputs.
+    guarded form for arbitrary inputs.  ``out``, a pair of float arrays
+    of the result's shape that share no memory with ``u`` or ``v``,
+    receives (du, dv) and is returned.  F and f are evaluated by
+    ``KineticsModel.F`` and ``.f``; each element then takes the operations
+    of the expressions above in their order.
     """
-    Fv = kin.F(v)
-    du = kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u
-    dv = kin.f(v) - u * Fv
+    if out is None:
+        shape = np.broadcast(u, v).shape
+        out = (np.empty(shape), np.empty(shape))
+    du, dv = out
+    gamma, theta, alpha = kin._rate_operands
+    Fv = np.empty_like(du)  # F(v), later scratch
+    np.copyto(dv, kin.f(v))
+    np.copyto(Fv, kin.F(v))
+    np.multiply(u, Fv, out=du)
+    dv -= du
+    np.multiply(gamma, u, out=du)
+    du *= Fv
+    np.multiply(theta, u, out=Fv)
+    du -= Fv
+    np.multiply(alpha, u, out=Fv)
+    Fv *= u
+    du -= Fv
     return du, dv
 
 

@@ -10,17 +10,34 @@ through face fluxes
 with arithmetic-mean face values and zero boundary fluxes.  Time stepping
 is classic RK4 at a CFL-limited step, or a first-order IMEX scheme with
 implicit (tridiagonal) diffusion and explicit taxis/reaction.
+
+RK4 runs in a workspace that each SolverConfig builds on its first step
+(``SolverConfig._workspace``; ``dataclasses.replace``, copies and pickles
+get their own).  It holds every buffer and face or cell view the step
+needs, allocated once.  The state is one stacked (2, n) array, so face
+sums and differences, the three stage builds and the k1 + 2k2 + 2k3 + k4
+sum each take one NumPy call for both fields, and every call writes into
+a workspace buffer (the kinetics' F and f allocate their results, which
+``reaction`` copies in).  h, D, 0.5 and 2.0 are held as 0-d arrays, which
+NumPy takes without the per-call conversion of a Python float.  At 256
+cells a step is bound by NumPy's per-call cost, not by arithmetic, so
+fewer and cheaper calls make it faster; every element still takes the
+operations of the plain expressions in their order, so results are the
+same to the last bit.  ``rk4_step`` and ``rhs`` return new arrays, never
+workspace buffers.  A workspace is scratch for one caller at a time: a
+SolverConfig must not be stepped from two threads at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .diagnostics import lyapunov_v1, lyapunov_v2
-from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel, reaction
+from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel, _operands, reaction
 
 __all__ = [
     "Grid1D",
@@ -128,6 +145,19 @@ class SolverConfig:
             raise ValueError("base arrays must match the grid")
         return u0.copy(), v0.copy()
 
+    @cached_property
+    def _workspace(self) -> "_Workspace":
+        """RK4 buffers, built on first use; ``dataclasses.replace`` makes a
+        config without one."""
+        return _Workspace(self)
+
+    def __getstate__(self):
+        # A copied workspace would lose the link between its buffers and
+        # their row and slice views; copies and pickles build their own.
+        state = dict(self.__dict__)
+        state.pop("_workspace", None)
+        return state
+
     def coexistence_base(self) -> Equilibrium | None:
         if (
             isinstance(self.base_state, Equilibrium)
@@ -220,49 +250,95 @@ def _divergence(flux: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray):
-    """(du/dt, dv/dt): divergence of the fluxes in the module docstring
-    plus the reaction terms.  The in-place steps keep the operation order
-    of the plain expressions, so the result is the same to the last bit."""
-    h = cfg.grid.h
-    u_r, u_l, v_r, v_l = u[1:], u[:-1], v[1:], v[:-1]
-    vf = v_r + v_l
-    vf *= 0.5
-    d, chi = cfg.mot.d_and_chi(vf)
-    dvdx = v_r - v_l
-    dvdx /= h
-    flux = _padded_flux(2, u.size)
-    flux_u = flux[0, 1:-1]  # d(vf) * (du/h) - (uf * chi(vf)) * dvdx
-    np.subtract(u_r, u_l, out=flux_u)
-    flux_u /= h
-    flux_u *= d
-    taxis = u_r + u_l
-    taxis *= 0.5
-    taxis *= chi
-    taxis *= dvdx
-    flux_u -= taxis
-    np.multiply(cfg.D, dvdx, out=flux[1, 1:-1])
-    du, dv = _divergence(flux, h)
-    ru, rv = reaction(cfg.kin, u, v)
-    du += ru
-    dv += rv
-    return du, dv
+class _Workspace:
+    """Buffers and views for RK4 on one SolverConfig, allocated once.
+
+    States are stacked (2, n) arrays, row 0 the predator u and row 1 the
+    prey v, so one ufunc call serves both fields.  The right-hand side
+    reads ``y`` and writes ``dy``; the step keeps its start state in
+    ``y0`` and its k1 + 2k2 + 2k3 + k4 sum in ``acc``.  ``h``, ``D`` and
+    the models are read from the config once.
+    """
+
+    def __init__(self, cfg: SolverConfig):
+        n = cfg.grid.n_cells
+        self.kin, self.mot = cfg.kin, cfg.mot
+        self.h, self.D, self.half, self.two = _operands(cfg.grid.h, cfg.D, 0.5, 2.0)
+        # the step's 0.5*dt, dt and dt/6, set on every step
+        self.c_half, self.c_full, self.c_sixth = np.empty(()), np.empty(()), np.empty(())
+        self.y0, self.y, self.dy, self.acc, self.tmp = np.empty((5, 2, n))
+        self.u0, self.v0 = self.y0
+        self.u, self.v = self.y
+        self.acc_u, self.acc_v = self.acc
+        self.y_r, self.y_l = self.y[:, 1:], self.y[:, :-1]
+        # face sums hold (uf, vf) and face differences (du/h, dv/h)
+        self.face_sum, self.face_diff = np.empty((2, 2, n - 1))
+        self.uf, self.vf = self.face_sum
+        self.dudx, self.dvdx = self.face_diff
+        self.d, self.chi, self.taxis = np.empty((3, n - 1))
+        flux = _padded_flux(2, n)
+        self.flux_u, self.flux_v = flux[:, 1:-1]
+        self.flux_r, self.flux_l = flux[:, 1:], flux[:, :-1]
+        self.react = np.empty((2, n))
+        self.ru, self.rv = self.react
+
+
+def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(du/dt, dv/dt) stacked in the workspace's ``dy``: divergence of the
+    fluxes in the module docstring plus the reaction terms.
+
+    ``u`` and ``v`` are copied into the workspace unless they are its own
+    rows ``u`` and ``v``.  The result is overwritten by the next call on
+    the same config.  Every element takes the operations of the plain
+    expressions in their order, so the result is the same to the last bit.
+    """
+    ws = cfg._workspace
+    if u is not ws.u:
+        ws.u[...] = u
+    if v is not ws.v:
+        ws.v[...] = v
+    h = ws.h
+    np.add(ws.y_r, ws.y_l, out=ws.face_sum)
+    np.multiply(ws.face_sum, ws.half, out=ws.face_sum)
+    np.subtract(ws.y_r, ws.y_l, out=ws.face_diff)
+    np.divide(ws.face_diff, h, out=ws.face_diff)
+    d, chi = ws.mot.d_and_chi(ws.vf, out=(ws.d, ws.chi))
+    # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
+    np.multiply(ws.dudx, d, out=ws.flux_u)
+    np.multiply(ws.uf, chi, out=ws.taxis)
+    np.multiply(ws.taxis, ws.dvdx, out=ws.taxis)
+    np.subtract(ws.flux_u, ws.taxis, out=ws.flux_u)
+    np.multiply(ws.D, ws.dvdx, out=ws.flux_v)
+    np.subtract(ws.flux_r, ws.flux_l, out=ws.dy)
+    np.divide(ws.dy, h, out=ws.dy)
+    reaction(ws.kin, ws.u, ws.v, out=(ws.ru, ws.rv))
+    np.add(ws.dy, ws.react, out=ws.dy)
+    return ws.dy
 
 
 def rhs(state: State, cfg: SolverConfig):
     """Time derivatives (du/dt, dv/dt) of the semi-discrete system."""
     if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.v))):
         raise ValueError("state contains non-finite values")
-    return _rhs_arrays(cfg, state.u, state.v)
+    du, dv = _rhs_arrays(cfg, state.u, state.v)
+    return du.copy(), dv.copy()
 
 
 def stable_dt(state: State, cfg: SolverConfig) -> float:
     """CFL-limited explicit step: the diffusive bound h^2/(2 max(d, D))
-    and the taxis-advection bound h/w_max, scaled by cfl_safety."""
+    and the taxis-advection bound h/w_max, scaled by cfl_safety.
+
+    One motility evaluation covers the cells (for d) and the faces (for
+    chi) together."""
     h = cfg.grid.h
-    d_max = float(np.max(cfg.mot.d(state.v)))
-    vf = 0.5 * (state.v[1:] + state.v[:-1])
-    w = np.abs(cfg.mot.chi(vf) * np.diff(state.v) / h)
+    v = state.v
+    n = v.size
+    vf = 0.5 * (v[1:] + v[:-1])
+    vv = np.concatenate((v, vf))
+    # out= arrays, because a custom motility may return scalars
+    d, chi = cfg.mot.d_and_chi(vv, out=(np.empty_like(vv), np.empty_like(vv)))
+    d_max = float(np.max(d[:n]))
+    w = np.abs(chi[n:] * (v[1:] - v[:-1]) / h)
     w_max = float(np.max(w)) if w.size else 0.0
     dt_diff = h * h / (2.0 * max(d_max, cfg.D))
     dt_adv = h / (w_max + 1e-300)
@@ -270,13 +346,38 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
 
 
 def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float):
-    k1u, k1v = _rhs_arrays(cfg, u, v)
-    k2u, k2v = _rhs_arrays(cfg, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = _rhs_arrays(cfg, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = _rhs_arrays(cfg, u + dt * k3u, v + dt * k3v)
-    u_new = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return u_new, v_new
+    """One classic RK4 step; returns new arrays (u, v).
+
+    The stages run in the config's workspace, each stage build and the
+    k1 + 2k2 + 2k3 + k4 sum one call for both fields, with the operation
+    order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).
+    """
+    ws = cfg._workspace
+    y0, y, acc, tmp = ws.y0, ws.y, ws.acc, ws.tmp
+    ws.c_half[...] = 0.5 * dt
+    ws.c_full[...] = dt
+    ws.c_sixth[...] = dt / 6.0
+    ws.u[...] = u
+    ws.v[...] = v
+    np.copyto(y0, y)
+    k = _rhs_arrays(cfg, ws.u, ws.v)  # k1
+    np.copyto(acc, k)
+    np.multiply(ws.c_half, k, out=y)
+    np.add(y0, y, out=y)
+    k = _rhs_arrays(cfg, ws.u, ws.v)  # k2
+    np.multiply(ws.two, k, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.multiply(ws.c_half, k, out=y)
+    np.add(y0, y, out=y)
+    k = _rhs_arrays(cfg, ws.u, ws.v)  # k3
+    np.multiply(ws.two, k, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.multiply(ws.c_full, k, out=y)
+    np.add(y0, y, out=y)
+    k = _rhs_arrays(cfg, ws.u, ws.v)  # k4
+    np.add(acc, k, out=acc)
+    np.multiply(ws.c_sixth, acc, out=acc)
+    return np.add(ws.u0, ws.acc_u), np.add(ws.v0, ws.acc_v)
 
 
 def _solve_diffusion(q: np.ndarray, coef_face: np.ndarray, h: float, dt: float):

@@ -153,6 +153,19 @@ def reference_rk4_step(cfg, u, v, dt):
     return u_new, v_new
 
 
+def reference_stable_dt(state, cfg):
+    """Copy of the original CFL step: d on the cells and chi on the faces
+    in separate evaluations, with np.diff."""
+    h = cfg.grid.h
+    d_max = float(np.max(cfg.mot.d(state.v)))
+    vf = 0.5 * (state.v[1:] + state.v[:-1])
+    w = np.abs(cfg.mot.chi(vf) * np.diff(state.v) / h)
+    w_max = float(np.max(w)) if w.size else 0.0
+    dt_diff = h * h / (2.0 * max(d_max, cfg.D))
+    dt_adv = h / (w_max + 1e-300)
+    return cfg.cfl_safety * min(dt_diff, dt_adv)
+
+
 def run_fresh_python(code, *args):
     """Run ``code`` in a new interpreter that imports this ``preytaxis_lab``.
 

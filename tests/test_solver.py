@@ -1,10 +1,13 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import modal_growth_rate, reference_rk4_step
+from helpers import modal_growth_rate, reference_rk4_step, reference_stable_dt
 from preytaxis_lab.model import (
     _EXP_CAP,
     KineticsModel,
@@ -410,6 +413,145 @@ class TestFusedKernel:
         v = np.concatenate([np.linspace(0.0, 10.0, 101), [1e4, 3e4, -1e4]])
         d, chi = mot.d_and_chi(v)
         assert np.array_equal(d, mot.d(v)) and np.array_equal(chi, mot.chi(v))
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    @pytest.mark.parametrize("mot_name", sorted(MOTILITIES))
+    def test_stable_dt_bit_identical(self, mot_name, kin_name):
+        cfg = cp_config(
+            kin=KINETICS[kin_name](),
+            mot=MOTILITIES[mot_name],
+            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
+            perturbation=Perturbation(0.2, 3),
+        )
+        st = init_state(cfg)
+        u, v = st.u, st.v
+        dt = reference_stable_dt(st, cfg)
+        assert stable_dt(st, cfg) == dt
+        for _ in range(20):
+            u, v = rk4_step(cfg, u, v, dt)
+        later = State(0.0, u, v)
+        assert stable_dt(later, cfg) == reference_stable_dt(later, cfg)
+        # a steep rough prey front centred on v = 1, where the advective
+        # bound h/w_max is the smaller one for every motility
+        rough = np.random.default_rng(5).uniform(-1.0, 1.0, 64)
+        front = State(0.0, u, 1.0 + 150.0 * np.tanh(np.arange(64) - 31.5) + rough)
+        h = cfg.grid.h
+        dt_diff = h * h / (2.0 * max(np.max(cfg.mot.d(front.v)), cfg.D))
+        assert reference_stable_dt(front, cfg) < cfg.cfl_safety * dt_diff
+        assert stable_dt(front, cfg) == reference_stable_dt(front, cfg)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "make_kin",
+        [
+            lambda a: KineticsModel.lotka_volterra(2.0, 1.0, a, 1.0, 4.0),
+            lambda a: KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.0, 4.0, 1.0, alpha=a),
+        ],
+        ids=["lv", "rm"],
+    )
+    def test_rk4_bit_identical_for_either_alpha(self, make_kin, alpha):
+        cfg = cp_config(
+            kin=make_kin(alpha),
+            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
+            perturbation=Perturbation(0.2, 3),
+        )
+        st = init_state(cfg)
+        dt = stable_dt(st, cfg)
+        u, v = u_ref, v_ref = st.u, st.v
+        for _ in range(50):
+            u, v = rk4_step(cfg, u, v, dt)
+            u_ref, v_ref = reference_rk4_step(cfg, u_ref, v_ref, dt)
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        assert np.max(np.abs(u - st.u)) > 1e-6
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    def test_scalar_valued_custom_motility(self, kin_name):
+        mot = MotilityModel.custom(lambda v: 0.3, lambda v: 0.0, lambda v: 0.4)
+        cfg = cp_config(
+            kin=KINETICS[kin_name](),
+            mot=mot,
+            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
+            perturbation=Perturbation(0.2, 3),
+        )
+        st = init_state(cfg)
+        dt = reference_stable_dt(st, cfg)
+        assert stable_dt(st, cfg) == dt
+        u, v = u_ref, v_ref = st.u, st.v
+        for _ in range(20):
+            u, v = rk4_step(cfg, u, v, dt)
+            u_ref, v_ref = reference_rk4_step(cfg, u_ref, v_ref, dt)
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+        later = State(0.0, u, v)
+        assert stable_dt(later, cfg) == reference_stable_dt(later, cfg)
+
+
+class TestWorkspace:
+    """The RK4 workspace is scratch: nothing a caller holds may alias it,
+    and each config has its own."""
+
+    def _start(self, cfg):
+        st = init_state(cfg)
+        return st.u, st.v, stable_dt(st, cfg)
+
+    def test_results_survive_later_calls(self):
+        cfg = cp_config(perturbation=Perturbation(0.2, 1))
+        u, v, dt = self._start(cfg)
+        u1, v1 = rk4_step(cfg, u, v, dt)
+        du, dv = rhs(State(0.0, u, v), cfg)
+        kept = [x.copy() for x in (u1, v1, du, dv)]
+        u2, v2 = rk4_step(cfg, u1, v1, dt)
+        rhs(State(0.0, u2, v2), cfg)
+        rk4_step(cfg, u2, v2, dt)
+        for x, x_kept in zip((u1, v1, du, dv), kept):
+            assert np.array_equal(x, x_kept)
+        assert not np.array_equal(u2, u1)
+
+    def test_mutated_result_does_not_leak_into_later_steps(self):
+        cfg = cp_config(perturbation=Perturbation(0.2, 1))
+        u, v, dt = self._start(cfg)
+        u1, v1 = rk4_step(cfg, u, v, dt)
+        fresh = [x.copy() for x in (u1, v1)]
+        u1[13], v1[40] = 5.0, 0.25
+        u2, v2 = rk4_step(cfg, u1, v1, dt)
+        u_ref, v_ref = reference_rk4_step(cfg, u1.copy(), v1.copy(), dt)
+        assert np.array_equal(u2, u_ref) and np.array_equal(v2, v_ref)
+        # the mutation stays in the caller's arrays
+        u1_again, v1_again = rk4_step(cfg, u, v, dt)
+        assert np.array_equal(u1_again, fresh[0]) and np.array_equal(v1_again, fresh[1])
+
+    def _run(self, cfg, n_steps, other=None):
+        u, v, dt = self._start(cfg)
+        if other is not None:
+            uo, vo, dto = self._start(other)
+        for _ in range(n_steps):
+            u, v = rk4_step(cfg, u, v, dt)
+            if other is not None:
+                uo, vo = rk4_step(other, uo, vo, dto)
+        return u, v
+
+    def test_replaced_configs_step_independently(self):
+        a = cp_config(perturbation=Perturbation(0.2, 1))
+        rk4_step(a, *self._start(a))  # a has built its workspace
+        b = dataclasses.replace(a, D=0.7)
+        alone_a = self._run(a, 30)
+        alone_b = self._run(b, 30)
+        assert not np.array_equal(alone_a[1], alone_b[1])
+        mixed_a = self._run(a, 30, other=b)
+        mixed_b = self._run(b, 30, other=a)
+        assert all(np.array_equal(x, y) for x, y in zip(mixed_a, alone_a))
+        assert all(np.array_equal(x, y) for x, y in zip(mixed_b, alone_b))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+    def test_copied_config_steps_like_the_original(self, clone):
+        cfg = cp_config(perturbation=Perturbation(0.2, 1))
+        expected = {n: self._run(dataclasses.replace(cfg), n) for n in (3, 10)}
+        self._run(cfg, 10)  # cfg's workspace now holds the tenth step
+        twin = clone(cfg)
+        for n, (u, v) in expected.items():
+            u_twin, v_twin = self._run(twin, n)
+            assert np.array_equal(u_twin, u) and np.array_equal(v_twin, v)
+        u_cfg, v_cfg = self._run(cfg, 3, other=twin)
+        assert np.array_equal(u_cfg, expected[3][0]) and np.array_equal(v_cfg, expected[3][1])
 
 
 def _injecting(monkeypatch, at_step, field, cell, value):
