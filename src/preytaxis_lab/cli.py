@@ -604,6 +604,9 @@ def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):
         pattern = ""
         if simulate:
             cfg = _solver_config(replace(rc, D_values=[D]), kin, mot, eqs)
+            # The label comes from the series alone; two snapshots (t = 0 and
+            # t_end) lie on the series grid and add no output times.
+            cfg = replace(cfg, snapshot_count=2)
             try:
                 traj = integrate(cfg)
                 pattern = classify_pattern(traj).label.value

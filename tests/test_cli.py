@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import run_fresh_python
+from preytaxis_lab import cli
 from preytaxis_lab.cli import main
+from preytaxis_lab.diagnostics import classify_pattern
+from preytaxis_lab.model import compute_equilibria
 
 CP_MODEL = """
 [model]
@@ -396,6 +400,76 @@ seed = 4
             "homogeneous_stationary", "homogeneous_periodic",
             "stationary_inhomogeneous", "spatio_temporal",
         }
+
+
+def sweep_members_config(kind, length, D, t_end, snapshot_count=200):
+    return (
+        CP_MODEL
+        + f"""
+[motility]
+kind = {kind}
+
+[analysis]
+D = {D}
+
+[domain]
+length = {length}
+n_cells = 32
+
+[solver]
+t_end = {t_end}
+snapshot_count = {snapshot_count}
+epsilon = 0.5
+seed = 1
+"""
+    )
+
+
+class TestSweepMembers:
+    """``sweep --simulate`` integrates each member once through cli.integrate,
+    keeping only the initial and final snapshots."""
+
+    @pytest.mark.parametrize(
+        "kind, length, D",
+        [
+            ("d1", 2 * math.pi, "0.001,0.05,0.5"),
+            ("d2", 4 * math.pi, "0.0002,0.01,0.5"),
+        ],
+    )
+    def test_labels_match_members_with_full_snapshot_grid(self, tmp_path, kind, length, D):
+        cfg = write_config(tmp_path, sweep_members_config(kind, length, D, 8))
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg, "--out", out, "--simulate"]) == 0
+        header, rows = read_csv(os.path.join(out, "sweep.csv"))
+        rc = cli.load_config(cfg)
+        kin, mot = cli.build_models(rc)
+        eqs = compute_equilibria(kin)
+        expected = []
+        for d in rc.D_values:
+            member = cli._solver_config(dataclasses.replace(rc, D_values=[d]), kin, mot, eqs)
+            assert member.snapshot_count == 200
+            expected.append(classify_pattern(cli.integrate(member)).label.value)
+        assert [r[header.index("pattern_class")] for r in rows] == expected
+
+    def test_members_keep_the_series_and_two_snapshots(self, tmp_path, monkeypatch):
+        body = sweep_members_config("d1", 2 * math.pi, "0.01,0.1,1", 2, 1000)
+        cfg = write_config(tmp_path, body)
+        original = cli.integrate
+        members = []
+
+        def integrate(cfg):
+            traj = original(cfg)
+            members.append((cfg, traj))
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--simulate"]) == 0
+        assert len(members) == 3
+        for cfg, traj in members:
+            assert cfg.snapshot_count == 2
+            assert cfg.series_count == 1000
+            assert [s.t for s in traj.snapshots] == [0.0, cfg.t_end]
+            assert traj.series.t.size == 1000
 
 
 class TestConfigStrictness:
