@@ -78,8 +78,9 @@ def zeta_by_quadrature(kin: KineticsModel, omega: float, v: float) -> float:
 def zeta(kin: KineticsModel, omega_star: float, v):
     """Prey energy density Z_omega(v) = int_omega^v (F(s)-F(omega))/F(s) ds.
 
-    Convex, nonnegative, zero at v = omega.  Scalar or array v; requires
-    omega and v positive (F must not vanish on the integration path).
+    Convex, nonnegative, zero at v = omega.  Scalar or array v of any
+    shape; requires omega and v positive (F must not vanish on the
+    integration path).
     """
     if omega_star <= 0:
         raise ValueError("omega_star must be positive")
@@ -89,7 +90,8 @@ def zeta(kin: KineticsModel, omega_star: float, v):
     if kin.kind is KineticsKind.CUSTOM:
         if varr.ndim == 0:
             return zeta_by_quadrature(kin, omega_star, float(varr))
-        return np.array([zeta_by_quadrature(kin, omega_star, x) for x in varr])
+        vals = [zeta_by_quadrature(kin, omega_star, x) for x in varr.ravel()]
+        return np.array(vals).reshape(varr.shape)
     out = _zeta_closed(kin, omega_star, varr)
     return float(out) if varr.ndim == 0 else out
 
@@ -130,25 +132,34 @@ def zeta_bounds_check(
     return ZetaBoundsReport(viol_lo <= tol, viol_hi <= tol, viol_lo, viol_hi, delta, n_samples)
 
 
-def lyapunov_v1(u: np.ndarray, v: np.ndarray, kin: KineticsModel, h: float) -> float:
+def _energy(h: float, kin: KineticsModel, pred: np.ndarray, inner: np.ndarray):
+    """(1/gamma) h sum(pred) + h sum(inner) along the cell (last) axis: a
+    float for one state, an array for stacked states."""
+    out = h * np.sum(pred, axis=-1) / kin.gamma + h * np.sum(inner, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def lyapunov_v1(u: np.ndarray, v: np.ndarray, kin: KineticsModel, h: float):
     """Prey-only energy (1/gamma) h sum(u) + h sum(Z_K(v_i)).
 
     Requires gamma > 0 and all v_i > 0 (the energy density diverges
-    logarithmically as v -> 0 for the builtin kinetics).
+    logarithmically as v -> 0 for the builtin kinetics).  States may be
+    stacked, shape (..., n): the sums run along the last axis, and one
+    state gives a float.
     """
     if kin.gamma <= 0:
         raise ValueError("V1 requires gamma > 0")
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0):
         raise ValueError("V1 requires all v_i > 0")
-    inner = zeta(kin, kin.K, v)
-    return h * float(np.sum(u)) / kin.gamma + h * float(np.sum(inner))
+    return _energy(h, kin, u, zeta(kin, kin.K, v))
 
 
-def lyapunov_v2(
-    u: np.ndarray, v: np.ndarray, kin: KineticsModel, eq: Equilibrium, h: float
-) -> float:
-    """Coexistence energy; zero exactly at (u*, v*), positive elsewhere."""
+def lyapunov_v2(u: np.ndarray, v: np.ndarray, kin: KineticsModel, eq: Equilibrium, h: float):
+    """Coexistence energy; zero exactly at (u*, v*), positive elsewhere.
+
+    Stacked states as for lyapunov_v1.
+    """
     if eq.kind is not EquilibriumKind.COEXISTENCE:
         raise ValueError("V2 is defined relative to a coexistence state")
     if kin.gamma <= 0:
@@ -161,8 +172,7 @@ def lyapunov_v2(
         raise ValueError("V2 requires all v_i > 0")
     u_star = eq.u
     pred = u - u_star - u_star * np.log(u / u_star)
-    inner = zeta(kin, eq.v, v)
-    return h * float(np.sum(pred)) / kin.gamma + h * float(np.sum(inner))
+    return _energy(h, kin, pred, zeta(kin, eq.v, v))
 
 
 class PatternLabel(Enum):

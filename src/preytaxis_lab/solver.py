@@ -36,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from .diagnostics import lyapunov_v1, lyapunov_v2
 from .model import Equilibrium, EquilibriumKind, KineticsModel, MotilityModel, _operands, reaction
 
@@ -219,7 +220,7 @@ def init_state(cfg: SolverConfig) -> State:
     eps = cfg.perturbation.epsilon
     if eps == 0.0:
         return State(0.0, u0, v0)
-    rng = np.random.default_rng(cfg.perturbation.seed)
+    rng = PCG64(cfg.perturbation.seed)  # default_rng's stream, without numpy.random
     xi_u = rng.uniform(-1.0, 1.0, cfg.grid.n_cells)
     xi_v = rng.uniform(-1.0, 1.0, cfg.grid.n_cells)
     for base, xi in ((u0, xi_u), (v0, xi_v)):
@@ -421,7 +422,7 @@ class TimeSeries:
     """Scalar diagnostics sampled on the dense output schedule.
 
     V1 and V2 are NaN where their preconditions fail (nonpositive fields,
-    or no coexistence base for V2).
+    gamma <= 0, or no coexistence base for V2).
     """
 
     t: np.ndarray
@@ -447,45 +448,75 @@ class Trajectory:
     status: str = "ok"
 
 
+# States per recorder block: a (16, 2, n) buffer is 64 KiB at 256 cells,
+# enough to amortize NumPy's per-call cost without raising peak memory.
+_SERIES_BLOCK = 16
+
+
 class _SeriesRecorder:
+    """TimeSeries rows, computed a block of states at a time.
+
+    ``record`` stores t and copies the state into a (_SERIES_BLOCK, 2, n)
+    buffer.  When the buffer fills, and in ``finalize`` (which a guard
+    error reaches too), each quantity takes one NumPy call over the
+    block's stacked states, reducing along the contiguous cell axis, so
+    every row gets the pairwise sums a single state would.  V1 and V2
+    take one call each on the rows that meet their preconditions; they are
+    looked up in this module at call time.
+    """
+
     def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        self.u_base, self.v_base = cfg.base_arrays()
+        self.h = cfg.grid.h
+        self.kin = cfg.kin
+        self.base = np.stack(cfg.base_arrays())
         self.co = cfg.coexistence_base()
-        self.rows: list[tuple] = []
+        self.block = np.empty((_SERIES_BLOCK, 2, cfg.grid.n_cells))
+        self.cols = np.empty((13, cfg.series_count))  # one row per TimeSeries field
+        self.count = 0  # rows recorded
+        self.flushed = 0  # rows whose diagnostics are in cols
 
     def record(self, t: float, u: np.ndarray, v: np.ndarray):
-        h = self.cfg.grid.h
-        kin = self.cfg.kin
-        v1 = v2 = math.nan
-        if v.min() > 0.0:
+        row = self.count - self.flushed
+        self.cols[0, self.count] = t
+        self.block[row, 0] = u
+        self.block[row, 1] = v
+        self.count += 1
+        if row + 1 == _SERIES_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        lo, hi = self.flushed, self.count
+        self.flushed = hi
+        if hi == lo:
+            return
+        h, y = self.h, self.block[: hi - lo]
+        # c's rows are TimeSeries' fields: t, mass_u, mass_v, min_u, max_u,
+        # min_v, max_v, l2_dev_u, l2_dev_v, std_u, std_v, V1, V2
+        c = self.cols[:, lo:hi]
+        lows = np.min(y, axis=-1)
+        c[1:3] = (h * np.sum(y, axis=-1)).T
+        c[3:7:2] = lows.T
+        c[4:7:2] = np.max(y, axis=-1).T
+        c[7:9] = np.sqrt(h * np.sum((y - self.base) ** 2, axis=-1)).T
+        c[9:11] = np.std(y, axis=-1).T
+        c[11:13] = math.nan
+        ok = lows[:, 1] > 0.0
+        if ok.any():
             try:
-                v1 = lyapunov_v1(u, v, kin, h)
+                c[11, ok] = lyapunov_v1(y[ok, 0], y[ok, 1], self.kin, h)
             except ValueError:
-                v1 = math.nan
-            if self.co is not None and u.min() > 0.0:
-                v2 = lyapunov_v2(u, v, kin, self.co, h)
-        self.rows.append(
-            (
-                t,
-                h * float(np.sum(u)),
-                h * float(np.sum(v)),
-                float(u.min()),
-                float(u.max()),
-                float(v.min()),
-                float(v.max()),
-                math.sqrt(h * float(np.sum((u - self.u_base) ** 2))),
-                math.sqrt(h * float(np.sum((v - self.v_base) ** 2))),
-                float(np.std(u)),
-                float(np.std(v)),
-                v1,
-                v2,
-            )
-        )
+                pass
+        if self.co is not None:
+            ok &= lows[:, 0] > 0.0
+            if ok.any():
+                try:
+                    c[12, ok] = lyapunov_v2(y[ok, 0], y[ok, 1], self.kin, self.co, h)
+                except ValueError:
+                    pass
 
     def finalize(self) -> TimeSeries:
-        cols = list(zip(*self.rows)) if self.rows else [[]] * 13
-        return TimeSeries(*(np.asarray(c, dtype=float) for c in cols))
+        self._flush()
+        return TimeSeries(*self.cols[:, : self.count])
 
 
 def _guard_error(t, u, v, grid, snapshots, rec) -> _GuardError:

@@ -179,3 +179,81 @@ def run_fresh_python(code, *args):
         [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=300, check=False,
     )
+
+
+# Reference copy of the original per-state series recorder and the scalar
+# Lyapunov functionals it called.  The block recorder in solver.py must
+# reproduce every column bit for bit, NaN positions included.
+
+
+def reference_lyapunov_v1(u, v, kin, h):
+    from preytaxis_lab.diagnostics import zeta
+
+    if kin.gamma <= 0:
+        raise ValueError("V1 requires gamma > 0")
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0.0):
+        raise ValueError("V1 requires all v_i > 0")
+    inner = zeta(kin, kin.K, v)
+    return h * float(np.sum(u)) / kin.gamma + h * float(np.sum(inner))
+
+
+def reference_lyapunov_v2(u, v, kin, eq, h):
+    from preytaxis_lab.diagnostics import zeta
+
+    if kin.gamma <= 0:
+        raise ValueError("V2 requires gamma > 0")
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.any(u <= 0.0) or np.any(v <= 0.0):
+        raise ValueError("V2 requires all u_i, v_i > 0")
+    u_star = eq.u
+    pred = u - u_star - u_star * np.log(u / u_star)
+    inner = zeta(kin, eq.v, v)
+    return h * float(np.sum(pred)) / kin.gamma + h * float(np.sum(inner))
+
+
+SERIES_COLUMNS = (
+    "t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v",
+    "l2_dev_u", "l2_dev_v", "std_u", "std_v", "V1", "V2",
+)
+
+
+def reference_series(cfg, states):
+    """Series columns {name: array} for the (t, u, v) states, one state at
+    a time.  V1 and V2 are NaN where the functional raises ValueError."""
+    h, kin = cfg.grid.h, cfg.kin
+    u_base, v_base = cfg.base_arrays()
+    co = cfg.coexistence_base()
+    rows = []
+    for t, u, v in states:
+        v1 = v2 = math.nan
+        if v.min() > 0.0:
+            try:
+                v1 = reference_lyapunov_v1(u, v, kin, h)
+            except ValueError:
+                v1 = math.nan
+            if co is not None and u.min() > 0.0:
+                try:
+                    v2 = reference_lyapunov_v2(u, v, kin, co, h)
+                except ValueError:
+                    v2 = math.nan
+        rows.append(
+            (
+                t,
+                h * float(np.sum(u)),
+                h * float(np.sum(v)),
+                float(u.min()),
+                float(u.max()),
+                float(v.min()),
+                float(v.max()),
+                math.sqrt(h * float(np.sum((u - u_base) ** 2))),
+                math.sqrt(h * float(np.sum((v - v_base) ** 2))),
+                float(np.std(u)),
+                float(np.std(v)),
+                v1,
+                v2,
+            )
+        )
+    cols = list(zip(*rows)) if rows else [[]] * len(SERIES_COLUMNS)
+    return {name: np.asarray(c, dtype=float) for name, c in zip(SERIES_COLUMNS, cols)}

@@ -606,14 +606,19 @@ class TestConfigTable:
 
 
 # Runs each argv through ``main`` in one interpreter and prints, as its last
-# line, whether SciPy had been imported after each run.
+# line, each run's exit code and whether SciPy and numpy.random had been
+# imported after it.  NumPy 1.x imports numpy.random with numpy itself, so
+# the report also says whether ``import numpy`` alone loaded it.
 SCIPY_PROBE = """
 import json, sys
+import numpy
+eager = "numpy.random" in sys.modules
 from preytaxis_lab.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
-    results.append([argv[0], main(argv), "scipy" in sys.modules])
-print(json.dumps(results))
+    code = main(argv)
+    results.append([argv[0], code, "scipy" in sys.modules, "numpy.random" in sys.modules])
+print(json.dumps({"eager_numpy_random": eager, "runs": results}))
 """
 
 
@@ -631,13 +636,25 @@ class TestScipyImportedOnFirstUse:
             for cmd in ("equilibria", "dispersion", "bifurcation")
         ]
         runs.append(["simulate", "--config", rk4, "--out", str(tmp_path / "rk4")])
+        sweep = write_config(
+            tmp_path, set_key(short, "analysis", "D", "0.1, 0.2"), name="sweep.ini"
+        )
+        runs.append(
+            ["sweep", "--config", sweep, "--out", str(tmp_path / "sweep"), "--simulate"]
+        )
         runs.append(["simulate", "--config", imex, "--out", str(tmp_path / "imex")])
         res = run_fresh_python(SCIPY_PROBE, json.dumps(runs))
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout.splitlines()[-1]) == [
+        report = json.loads(res.stdout.splitlines()[-1])
+        assert [run[:3] for run in report["runs"]] == [
             ["equilibria", 0, False],
             ["dispersion", 0, False],
             ["bifurcation", 0, False],
             ["simulate", 0, False],
+            ["sweep", 0, False],
             ["simulate", 0, True],
         ]
+        # The perturbation is drawn without numpy.random; only the IMEX run,
+        # whose SciPy may import it, is not checked.
+        rnd = report["eager_numpy_random"]
+        assert [run[3] for run in report["runs"][:-1]] == [rnd] * 5

@@ -7,14 +7,26 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from helpers import modal_growth_rate, reference_rk4_step, reference_stable_dt
+from helpers import (
+    SERIES_COLUMNS,
+    modal_growth_rate,
+    reference_lyapunov_v1,
+    reference_lyapunov_v2,
+    reference_rk4_step,
+    reference_series,
+    reference_stable_dt,
+)
+from preytaxis_lab.diagnostics import lyapunov_v1, lyapunov_v2
 from preytaxis_lab.model import (
     _EXP_CAP,
+    Equilibrium,
+    EquilibriumKind,
     KineticsModel,
     MotilityModel,
     compute_equilibria,
 )
 from preytaxis_lab import solver
+from preytaxis_lab._pcg64 import PCG64
 from preytaxis_lab.solver import (
     BlowUpError,
     Grid1D,
@@ -81,6 +93,34 @@ class TestInitState:
         assert np.all(st.u >= 0.0)
         assert 0.0 < st.u.max() <= 0.01 * kin.K
         assert np.max(np.abs(st.v - 4.0)) <= 0.04 + 1e-15
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 5, 42, 12345, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0xFEDCBA987654321],
+    )
+    def test_perturbation_is_numpy_default_rng_stream(self, seed):
+        kin = KineticsModel.rosenzweig_macarthur(1, 1, 1, 4, 1)
+        prey = compute_equilibria(kin).prey_only
+        for n in (8, 128, 256):
+            rng = np.random.default_rng(seed)
+            xi = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            gen = PCG64(seed)
+            assert np.array_equal(gen.uniform(-1.0, 1.0, n), xi[0])
+            assert np.array_equal(gen.uniform(-1.0, 1.0, n), xi[1])
+            grid = Grid1D(8 * math.pi, n)
+            st = init_state(cp_config(grid=grid, perturbation=Perturbation(0.3, seed)))
+            assert np.array_equal(st.u, CP_CO.u * (1.0 + 0.3 * xi[0]))
+            assert np.array_equal(st.v, CP_CO.v * (1.0 + 0.3 * xi[1]))
+            # a zero predator base takes the additive branch
+            st = init_state(
+                cp_config(kin=kin, grid=grid, base_state=prey, perturbation=Perturbation(0.3, seed))
+            )
+            assert np.array_equal(st.u, 0.0 + 0.3 * kin.K * 0.5 * (1.0 + xi[0]))
+            assert np.array_equal(st.v, prey.v * (1.0 + 0.3 * xi[1]))
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError):
+            init_state(cp_config(perturbation=Perturbation(0.01, -1)))
 
 
 class TestRhs:
@@ -262,6 +302,13 @@ class TestIntegrate:
         assert traj.series.max_u[-1] < 1e-4
         assert traj.series.max_u[-1] < 1e-3 * traj.series.max_u[0]
         assert traj.series.max_v.max() <= 4.0 * (1 + 1e-6) * 1.01
+
+    def test_v2_is_nan_without_predator_growth(self):
+        # gamma = 0 makes both functionals undefined; the run still completes
+        base = Equilibrium(1.0, 2.0, EquilibriumKind.COEXISTENCE, 0.0)
+        traj = integrate(cp_config(kin=zero_kinetics(), base_state=base))
+        assert traj.status == "ok"
+        assert np.all(np.isnan(traj.series.V1)) and np.all(np.isnan(traj.series.V2))
 
     def test_blowup_raises_with_partial_trajectory(self):
         grow = KineticsModel.custom(
@@ -634,3 +681,98 @@ class TestGuardErrorDetail:
         assert 0 <= err.cell < 16
         assert not err.value <= 1e6
         assert f"v[{err.cell}]" in str(err)
+
+
+def _assert_series_equal(series, ref):
+    for name in SERIES_COLUMNS:
+        assert np.array_equal(getattr(series, name), ref[name], equal_nan=True), name
+
+
+def _states(traj):
+    return [(st.t, st.u, st.v) for st in traj.snapshots]
+
+
+def _series_params():
+    for mot in sorted(MOTILITIES):
+        for kin in sorted(KINETICS):
+            for count in (500, 37):
+                # quadrature makes custom kinetics over 500 rows take seconds
+                slow = kin == "custom" and count == 500
+                yield pytest.param(mot, kin, count, marks=[pytest.mark.slow] if slow else [])
+
+
+class TestSeriesRecorder:
+    """The block recorder against the per-state reference in helpers:
+    every column equal, NaN positions included."""
+
+    @pytest.mark.parametrize("mot_name, kin_name, count", list(_series_params()))
+    def test_integrate_series_matches_reference(self, mot_name, kin_name, count):
+        kin = KINETICS[kin_name]()
+        cfg = cp_config(
+            kin=kin,
+            mot=MOTILITIES[mot_name],
+            grid=Grid1D(8 * math.pi, 8 if kin_name == "custom" else 256),
+            base_state=compute_equilibria(kin).coexistence,
+            perturbation=Perturbation(0.05, 3),
+            series_count=count,
+            snapshot_count=count,
+        )
+        traj = integrate(cfg)
+        assert traj.series.t.size == count
+        _assert_series_equal(traj.series, reference_series(cfg, _states(traj)))
+
+    def test_partial_series_of_a_guard_trip(self):
+        cfg = cp_config(
+            mot=MotilityModel.constant(0.01, chi_const=1.0),
+            perturbation=Perturbation(0.5, 0),
+            series_count=500,
+            snapshot_count=500,
+        )
+        with pytest.raises(NonPhysicalError) as exc:
+            integrate(cfg)
+        traj = exc.value.trajectory
+        assert traj.series.t.size > 16 and traj.series.t.size % 16 != 0
+        _assert_series_equal(traj.series, reference_series(cfg, _states(traj)))
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    def test_nonpositive_rows_get_nan_where_the_reference_does(self, kin_name):
+        kin = KINETICS[kin_name]()
+        n = 8 if kin_name == "custom" else 64
+        cfg = cp_config(
+            kin=kin,
+            grid=Grid1D(8 * math.pi, n),
+            base_state=compute_equilibria(kin).coexistence,
+            series_count=40,
+        )
+        y = np.random.default_rng(11).uniform(0.5, 2.0, (40, 2, n))
+        # (row, field, value): zero or slightly negative cells in three blocks;
+        # u (field 0) in rows 3, 4, 17, 30 and v (field 1) in rows 5, 17, 18, 31
+        for row, f, value in [
+            (3, 0, 0.0), (4, 0, -1e-9), (17, 0, 0.0), (30, 0, 0.0),
+            (5, 1, 0.0), (17, 1, 0.0), (18, 1, -1e-9), (31, 1, 0.0),
+        ]:
+            y[row, f, row % n] = value
+        states = [(0.1 * i, u, v) for i, (u, v) in enumerate(y)]
+        rec = solver._SeriesRecorder(cfg)
+        for t, u, v in states:
+            rec.record(t, u, v)
+        ref = reference_series(cfg, states)
+        assert np.isnan(ref["V1"]).sum() == 4 and np.isnan(ref["V2"]).sum() == 7
+        _assert_series_equal(rec.finalize(), ref)
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    def test_single_and_stacked_lyapunov(self, kin_name):
+        kin = KINETICS[kin_name]()
+        co = compute_equilibria(kin).coexistence
+        n, h = 16, 0.3
+        u, v = np.random.default_rng(4).uniform(0.5, 2.0, (2, 3, n))
+        for i in range(3):
+            one = lyapunov_v1(u[i], v[i], kin, h)
+            assert type(one) is float and one == reference_lyapunov_v1(u[i], v[i], kin, h)
+            one = lyapunov_v2(u[i], v[i], kin, co, h)
+            assert type(one) is float and one == reference_lyapunov_v2(u[i], v[i], kin, co, h)
+        stacked = lyapunov_v1(u, v, kin, h)
+        assert stacked.shape == (3,)
+        assert np.array_equal(stacked, [reference_lyapunov_v1(a, b, kin, h) for a, b in zip(u, v)])
+        stacked = lyapunov_v2(u, v, kin, co, h)
+        assert np.array_equal(stacked, [reference_lyapunov_v2(a, b, kin, co, h) for a, b in zip(u, v)])
