@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -312,27 +311,65 @@ def _template(kinds: tuple[type, ...]) -> str:
     ) + "\n"
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> int:
-    """Write tuple rows; NaN is written as an empty field.
+def _fmt_line(row) -> str:
+    return ",".join(_fmt(x) for x in row) + "\n"
+
+
+def _table(rows):
+    """(line, 1) blocks of tuple rows for ``_write_csv``; NaN is written as
+    an empty field.
 
     Each line is one %-template over the row (pass Python floats, e.g.
     from ``.tolist()``, for speed).  A line in which the template wrote
     "nan" is formatted again field by field, so NaN floats come out empty.
     """
     templates: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = _template(kinds)
+        line = template % row
+        if "nan" in line:
+            line = _fmt_line(row)
+        yield line, 1
+
+
+def _states(x: list[float], states):
+    """(text, rows) blocks of a state table for ``_write_csv``, one per
+    ``(lead, u, v)`` item: a line ``*lead,x,u,v`` per cell, where ``lead``
+    holds the float fields before x (a snapshot's time, or none).
+
+    x is formatted once per table and lead once per block; a block is one
+    %-template, with them already in it, over the cells' u and v.  A block
+    in which it wrote "nan" is formatted again row by row through ``_fmt``,
+    as ``_table`` does, so NaN floats come out empty.  One block per state
+    keeps every string small (about 20 KB at 256 cells): a string the size
+    of a whole file would be mmapped by malloc, and freeing it raises
+    glibc's mmap threshold for the rest of the process.
+    """
+    cells = [format(xi, ".17g") + ",%.17g,%.17g\n" for xi in x]
+    for lead, u, v in states:
+        head = "".join(format(f, ".17g") + "," for f in lead)
+        values = tuple(np.stack((u, v), axis=1).ravel().tolist())
+        text = (head + head.join(cells)) % values
+        if "nan" in text:
+            text = "".join(
+                _fmt_line((*lead, xi, ui, vi))
+                for xi, ui, vi in zip(x, values[::2], values[1::2])
+            )
+        yield text, len(cells)
+
+
+def _write_csv(path: str, header: tuple[str, ...], blocks) -> int:
+    """Write the header line, then each (text, rows) block; returns the
+    number of rows written."""
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = _template(kinds)
-            line = template % row
-            if "nan" in line:
-                line = ",".join(_fmt(x) for x in row) + "\n"
-            fh.write(line)
-            count += 1
+        for text, rows in blocks:
+            fh.write(text)
+            count += rows
     return count
 
 
@@ -348,9 +385,9 @@ class _Run:
         self.extra: dict = {}
         self.started = time.time()
 
-    def csv(self, name: str, header: tuple[str, ...], rows) -> str:
+    def csv(self, name: str, header: tuple[str, ...], blocks) -> str:
         path = os.path.join(self.dir, name)
-        count = _write_csv(path, header, rows)
+        count = _write_csv(path, header, blocks)
         self.files.append({"file": name, "rows": count})
         return path
 
@@ -384,7 +421,7 @@ def cmd_equilibria(rc: RunConfig) -> int:
     run.csv(
         "equilibria.csv",
         ("kind", "u", "v", "residual"),
-        ((e.kind.value, e.u, e.v, e.residual) for e in eqs.states),
+        _table((e.kind.value, e.u, e.v, e.residual) for e in eqs.states),
     )
     run.extra["gamma_F_K"] = eqs.gamma_F_K
     run.finish()
@@ -425,13 +462,13 @@ def cmd_dispersion(rc: RunConfig) -> int:
     run.csv(
         "dispersion.csv",
         ("k", "a", "b", "delta", "re_rho1", "im_rho1", "re_rho2", "im_rho2", "class"),
-        rows(),
+        _table(rows()),
     )
     modes = unstable_modes(kin, mot, rc.D, co, rc.analysis_ell, n_max=rc.n_max)
     run.csv(
         "modes.csv",
         ("n", "k", "class"),
-        ((m.n, m.k, m.klass.value) for m in modes),
+        _table((m.n, m.k, m.klass.value) for m in modes),
     )
     try:
         beta = beta_coefficients(kin, mot, co)
@@ -453,7 +490,7 @@ def cmd_bifurcation(rc: RunConfig) -> int:
     run.csv(
         "curves.csv",
         ("eta", "D_H", "D_S"),
-        zip(curve.eta, curve.D_H, curve.D_S),
+        _table(zip(curve.eta, curve.D_H, curve.D_S)),
     )
     resid = [
         max(
@@ -507,22 +544,17 @@ def _write_trajectory(run: _Run, traj: Trajectory):
     run.csv(
         "timeseries.csv",
         _SERIES_HEADER,
-        zip(*(getattr(s, name).tolist() for name in _SERIES_HEADER)),
+        _table(zip(*(getattr(s, name).tolist() for name in _SERIES_HEADER))),
     )
     x = traj.grid.centers().tolist()
-
-    def snap_rows():
-        for st in traj.snapshots:
-            yield from zip(repeat(st.t), x, st.u.tolist(), st.v.tolist())
-
-    run.csv("snapshots.csv", ("t", "x", "u", "v"), snap_rows())
+    run.csv(
+        "snapshots.csv",
+        ("t", "x", "u", "v"),
+        _states(x, (((st.t,), st.u, st.v) for st in traj.snapshots)),
+    )
     if traj.snapshots:
         last = traj.snapshots[-1]
-        run.csv(
-            "final_state.csv",
-            ("x", "u", "v"),
-            zip(x, last.u.tolist(), last.v.tolist()),
-        )
+        run.csv("final_state.csv", ("x", "u", "v"), _states(x, [((), last.u, last.v)]))
 
 
 def cmd_simulate(rc: RunConfig) -> int:
@@ -631,7 +663,7 @@ def cmd_sweep(rc: RunConfig, simulate: bool = False) -> int:
     else:
         rows = [(r[0], r[1], r[2], r[3], r[5]) for r in results]
     run = _Run(rc, "sweep")
-    run.csv("sweep.csv", header, rows)
+    run.csv("sweep.csv", header, _table(rows))
     failures = sum(1 for r in results if r[5])
     run.extra["failed_rows"] = failures
     run.finish()

@@ -257,3 +257,43 @@ def reference_series(cfg, states):
         )
     cols = list(zip(*rows)) if rows else [[]] * len(SERIES_COLUMNS)
     return {name: np.asarray(c, dtype=float) for name, c in zip(SERIES_COLUMNS, cols)}
+
+
+# Reference copy of the original CSV writer: one %-template per row, and a
+# line in which it wrote "nan" formatted again field by field.  The CLI's
+# block writer must reproduce its bytes.
+
+
+def _reference_fmt(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    xf = float(x)
+    if math.isnan(xf):
+        return ""
+    return format(xf, ".17g")
+
+
+def _reference_template(kinds) -> str:
+    return ",".join(
+        "%s" if issubclass(k, str) else "%d" if issubclass(k, (int, np.integer)) else "%.17g"
+        for k in kinds
+    ) + "\n"
+
+
+def reference_csv_text(header, rows):
+    """Text of a CSV file with the given header and tuple rows, as the
+    original writer formatted it; NaN is written as an empty field."""
+    templates = {}
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = _reference_template(kinds)
+        line = template % row
+        if "nan" in line:
+            line = ",".join(_reference_fmt(x) for x in row) + "\n"
+        lines.append(line)
+    return "".join(lines)

@@ -6,11 +6,19 @@ import os
 import numpy as np
 import pytest
 
-from helpers import run_fresh_python
+from helpers import reference_csv_text, run_fresh_python
 from preytaxis_lab import cli
 from preytaxis_lab.cli import main
 from preytaxis_lab.diagnostics import classify_pattern
 from preytaxis_lab.model import compute_equilibria
+from preytaxis_lab.solver import (
+    BlowUpError,
+    Grid1D,
+    NonPhysicalError,
+    State,
+    TimeSeries,
+    Trajectory,
+)
 
 CP_MODEL = """
 [model]
@@ -309,6 +317,129 @@ class TestSimulateCommand:
         x0 = float(rows[1][0])
         h = 2 * math.pi / 32
         assert x0 == 1.5 * h  # exact round-trip of the cell center
+
+
+SERIES_HEADER = (
+    "t", "mass_u", "mass_v", "min_u", "max_u", "min_v", "max_v",
+    "l2_dev_u", "l2_dev_v", "V1", "V2",
+)
+
+
+def reference_trajectory_csvs(traj):
+    """{file name: text} of the trajectory tables, from the reference
+    writer over the original tuple rows."""
+    x = traj.grid.centers().tolist()
+    s = traj.series
+    texts = {
+        "timeseries.csv": reference_csv_text(
+            SERIES_HEADER, zip(*(getattr(s, name).tolist() for name in SERIES_HEADER))
+        ),
+        "snapshots.csv": reference_csv_text(
+            ("t", "x", "u", "v"),
+            [
+                (st.t, xi, ui, vi)
+                for st in traj.snapshots
+                for xi, ui, vi in zip(x, st.u.tolist(), st.v.tolist())
+            ],
+        ),
+    }
+    if traj.snapshots:
+        last = traj.snapshots[-1]
+        texts["final_state.csv"] = reference_csv_text(
+            ("x", "u", "v"), zip(x, last.u.tolist(), last.v.tolist())
+        )
+    return texts
+
+
+def assert_trajectory_csvs(out, traj, manifest_outputs):
+    rows = {f["file"]: f["rows"] for f in manifest_outputs}
+    for name, text in reference_trajectory_csvs(traj).items():
+        with open(os.path.join(out, name), encoding="utf-8", newline="") as fh:
+            assert fh.read() == text, name
+        assert rows[name] == text.count("\n") - 1, name
+
+
+def set_keys(body, *entries):
+    for section, key, value in entries:
+        body = set_key(body, section, key, value)
+    return body
+
+
+# Strong constant taxis from a large perturbation: the negativity guard
+# trips at t = 0.08, after 16 snapshots and 41 series rows.
+GUARD_TRIP = set_keys(
+    SIMULATE_SMALL,
+    ("motility", "kind", "constant"),
+    ("motility", "d_const", "0.01"),
+    ("motility", "chi_const", "1"),
+    ("domain", "length", "25.132741228718345"),
+    ("domain", "n_cells", "64"),
+    ("solver", "t_end", "1"),
+    ("solver", "snapshot_count", "200"),
+    ("solver", "epsilon", "0.5"),
+)
+
+
+class TestTrajectoryTablesMatchReferenceWriter:
+    """timeseries.csv, snapshots.csv and final_state.csv are byte for byte
+    what the original per-row writer makes of the same trajectory."""
+
+    @pytest.mark.parametrize(
+        "body, code, v2_all_nan",
+        [
+            (SIMULATE_SMALL, 0, False),
+            (set_key(SIMULATE_SMALL, "domain", "n_cells", "8"), 0, False),
+            (GUARD_TRIP, 5, False),
+            # prey-only decay: no coexistence base, so V2 is NaN on every row
+            (set_key(SIMULATE_SMALL, "model", "gamma", "1"), 0, True),
+        ],
+        ids=["small", "8_cells", "guard_trip", "decay_v2_nan"],
+    )
+    def test_simulate_outputs(self, tmp_path, monkeypatch, body, code, v2_all_nan):
+        original = cli.integrate
+        trajectories = []
+
+        def integrate(cfg):
+            try:
+                traj = original(cfg)
+            except (BlowUpError, NonPhysicalError) as exc:
+                trajectories.append(exc.trajectory)
+                raise
+            trajectories.append(traj)
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        cfg = write_config(tmp_path, body)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == code
+        (traj,) = trajectories
+        assert_trajectory_csvs(out, traj, read_manifest(out)["outputs"])
+        assert len(traj.snapshots) > 1
+        assert np.isnan(traj.series.V2).all() == v2_all_nan
+
+    def test_non_finite_and_extreme_values(self, tmp_path):
+        # No integrate output holds NaN or inf (the step guards reject
+        # them), so a hand-built trajectory reaches the block's fallback.
+        grid = Grid1D(2.0, 8)
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e-300, 0.1]
+        finite = [math.inf, -math.inf, -0.0, 5e-324, 1e308, 2.5, -1e-300, 0.1]
+        snapshots = [
+            State(0.0, np.array(finite), np.array(finite[::-1])),
+            State(0.25, np.array(special), np.ones(8)),
+            State(1e-300, np.ones(8), np.array(special[::-1])),
+        ]
+        columns = {name: np.linspace(0.0, 1.0, 3) for name in SERIES_HEADER}
+        columns.update(
+            std_u=np.zeros(3), std_v=np.zeros(3), V2=np.array([math.nan, -0.0, math.inf])
+        )
+        traj = Trajectory(grid, snapshots, TimeSeries(**columns))
+        run = cli._Run(cli.RunConfig(out_dir=str(tmp_path)), "simulate")
+        cli._write_trajectory(run, traj)
+        assert_trajectory_csvs(str(tmp_path), traj, run.files)
+        with open(tmp_path / "snapshots.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[9] == "0.25,0.125,,1"
+        assert lines[1] == "0,0.125,inf,0.10000000000000001"
 
 
 SWEEP = (
