@@ -21,10 +21,12 @@ import argparse
 import configparser
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -302,12 +304,16 @@ def _fmt(x) -> str:
     return format(xf, ".17g")
 
 
-def _template(kinds: tuple[type, ...]) -> str:
-    """%-template of a CSV line whose fields have the given types; for
-    non-NaN values it writes what _fmt does."""
+def _template(kinds: tuple[type, ...], nans: tuple[bool, ...]) -> str:
+    """%-template of a CSV line whose fields have the given types; it
+    writes what _fmt does.  Fields flagged in ``nans`` are written empty
+    and take no value."""
     return ",".join(
-        "%s" if issubclass(k, str) else "%d" if issubclass(k, (int, np.integer)) else "%.17g"
-        for k in kinds
+        "" if nan
+        else "%s" if issubclass(k, str)
+        else "%d" if issubclass(k, (int, np.integer))
+        else "%.17g"
+        for k, nan in zip(kinds, nans)
     ) + "\n"
 
 
@@ -320,19 +326,20 @@ def _table(rows):
     an empty field.
 
     Each line is one %-template over the row (pass Python floats, e.g.
-    from ``.tolist()``, for speed).  A line in which the template wrote
-    "nan" is formatted again field by field, so NaN floats come out empty.
+    from ``.tolist()``, for speed).  The template is picked by the row's
+    field types and NaN fields (the only values unequal to themselves),
+    which it writes empty, so every row is formatted once.
     """
-    templates: dict[tuple[type, ...], str] = {}
+    templates: dict[tuple, tuple[str, tuple[bool, ...] | None]] = {}
     for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = _template(kinds)
-        line = template % row
-        if "nan" in line:
-            line = _fmt_line(row)
-        yield line, 1
+        nans = tuple(map(operator.ne, row, row))
+        key = (tuple(map(type, row)), nans)
+        entry = templates.get(key)
+        if entry is None:
+            keep = tuple(not nan for nan in nans) if True in nans else None
+            entry = templates[key] = (_template(key[0], nans), keep)
+        template, keep = entry
+        yield template % (row if keep is None else tuple(compress(row, keep))), 1
 
 
 def _states(x: list[float], states):

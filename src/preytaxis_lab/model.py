@@ -63,7 +63,7 @@ def _operands(*values):
     return arrays
 
 
-_ONE, _CAP = _operands(1.0, _EXP_CAP)
+_ZERO, _ONE, _CAP = _operands(0.0, 1.0, _EXP_CAP)
 
 
 class KineticsKind(Enum):
@@ -82,6 +82,15 @@ class KineticsModel:
 
     Custom kinetics supply F, F', f, f' explicitly (no automatic
     differentiation); evaluators must accept numpy arrays.
+
+    ``F`` and ``f`` take an optional ``out=``, a float array of the
+    result's shape that shares no memory with ``v``, which receives the
+    values and is returned.  The builtin kinds then allocate nothing
+    (``f`` needs a ``scratch`` array of the same kind for mu*v, or
+    allocates one), and each element takes the operations of the closed
+    forms above in their order; custom kinds evaluate as usual and copy
+    in.  Without ``out=`` the builtin kinds keep their scalar path: a
+    Python float in gives a Python float out.
     """
 
     kind: KineticsKind
@@ -136,9 +145,23 @@ class KineticsModel:
         """(gamma, theta, alpha) as ufunc operands for ``reaction``."""
         return _operands(self.gamma, self.theta, self.alpha)
 
+    @cached_property
+    def _shape_operands(self):
+        """(mu, K, lam) as ufunc operands for ``F`` and ``f`` with ``out=``."""
+        return _operands(self.mu, self.K, self.lam)
+
     # Functional response and prey kinetics -------------------------------
 
-    def F(self, v):
+    def F(self, v, out=None):
+        if out is not None:
+            if self.kind is KineticsKind.LOTKA_VOLTERRA:
+                return np.add(v, _ZERO, out=out)
+            if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR:
+                lam = self._shape_operands[2]
+                np.add(lam, v, out=out)
+                return np.divide(v, out, out=out)
+            np.copyto(out, self.F_eval(v))
+            return out
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
             return np.asarray(v) + 0.0 if isinstance(v, np.ndarray) else float(v)
         if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR:
@@ -152,10 +175,20 @@ class KineticsModel:
             return self.lam / (self.lam + v) ** 2
         return self.Fp_eval(v)
 
-    def f(self, v):
+    def f(self, v, out=None, scratch=None):
+        if out is None:
+            if self.kind is KineticsKind.CUSTOM:
+                return self.f_eval(v)
+            return self.mu * v * (1.0 - v / self.K)
         if self.kind is KineticsKind.CUSTOM:
-            return self.f_eval(v)
-        return self.mu * v * (1.0 - v / self.K)
+            np.copyto(out, self.f_eval(v))
+            return out
+        mu, K, _ = self._shape_operands
+        # scratch holds mu*v and out (1 - v/K)
+        scratch = np.multiply(mu, v, out=scratch)
+        np.divide(v, K, out=out)
+        np.subtract(_ONE, out, out=out)
+        return np.multiply(scratch, out, out=out)
 
     def f_prime(self, v):
         if self.kind is KineticsKind.CUSTOM:
@@ -370,7 +403,7 @@ class EquilibriumSet:
         return (self.extinction, self.prey_only, self.coexistence)
 
 
-def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None):
+def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None, scratch=None):
     """Reaction rates (du, dv) on float arrays, without a domain guard.
 
         du = gamma*u*F(v) - theta*u - alpha*u*u
@@ -380,18 +413,21 @@ def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None):
     completed steps are checked separately.  ``eval_reaction`` is the
     guarded form for arbitrary inputs.  ``out``, a pair of float arrays
     of the result's shape that share no memory with ``u`` or ``v``,
-    receives (du, dv) and is returned.  F and f are evaluated by
-    ``KineticsModel.F`` and ``.f``; each element then takes the operations
-    of the expressions above in their order.
+    receives (du, dv) and is returned.  ``scratch``, one more such array,
+    holds F(v) and then the loss terms; it is allocated when not given,
+    so with both the call allocates nothing for builtin kinetics.  F and
+    f are evaluated by ``KineticsModel.F`` and ``.f`` straight into these
+    buffers; each element then takes the operations of the expressions
+    above in their order.
     """
     if out is None:
         shape = np.broadcast(u, v).shape
         out = (np.empty(shape), np.empty(shape))
     du, dv = out
     gamma, theta, alpha = kin._rate_operands
-    Fv = np.empty_like(du)  # F(v), later scratch
-    np.copyto(dv, kin.f(v))
-    np.copyto(Fv, kin.F(v))
+    Fv = np.empty_like(du) if scratch is None else scratch  # F(v), later scratch
+    kin.f(v, out=dv, scratch=du)  # du is free until u*F(v)
+    kin.F(v, out=Fv)
     np.multiply(u, Fv, out=du)
     dv -= du
     np.multiply(gamma, u, out=du)

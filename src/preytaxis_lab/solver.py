@@ -17,15 +17,18 @@ get their own).  It holds every buffer and face or cell view the step
 needs, allocated once.  The state is one stacked (2, n) array, so face
 sums and differences, the three stage builds and the k1 + 2k2 + 2k3 + k4
 sum each take one NumPy call for both fields, and every call writes into
-a workspace buffer (the kinetics' F and f allocate their results, which
-``reaction`` copies in).  h, D, 0.5 and 2.0 are held as 0-d arrays, which
-NumPy takes without the per-call conversion of a Python float.  At 256
-cells a step is bound by NumPy's per-call cost, not by arithmetic, so
-fewer and cheaper calls make it faster; every element still takes the
-operations of the plain expressions in their order, so results are the
-same to the last bit.  ``rk4_step`` and ``rhs`` return new arrays, never
-workspace buffers.  A workspace is scratch for one caller at a time: a
-SolverConfig must not be stepped from two threads at once.
+a workspace buffer: the kinetics' F(v) and f(v) too, through ``reaction``
+and its scratch, so a right-hand side with builtin kinetics allocates
+nothing.  ``stable_dt`` runs in the same workspace, in buffers of its
+own.  h, D, 0.5 and 2.0 are held as 0-d arrays, which NumPy takes
+without the per-call conversion of a Python float.  At 256 cells a step
+is bound by NumPy's per-call cost, not by arithmetic, so fewer and
+cheaper calls make it faster; every element still takes the operations
+of the plain expressions in their order, so results are the same to the
+last bit.  ``rk4_step`` and ``rhs`` return new arrays, never workspace
+buffers.  A workspace is scratch for one caller at a time: a
+SolverConfig must not be stepped, nor passed to ``stable_dt``, from two
+threads at once.
 """
 
 from __future__ import annotations
@@ -282,6 +285,14 @@ class _Workspace:
         self.flux_r, self.flux_l = flux[:, 1:], flux[:, :-1]
         self.react = np.empty((2, n))
         self.ru, self.rv = self.react
+        self.Fv = np.empty(n)  # reaction's F(v) scratch
+        # stable_dt: the motility input holds the n cells, then the n - 1
+        # faces; dt_d and dt_chi receive d and chi there, and speed is the
+        # advective speed on the faces
+        self.v_cf, self.dt_d, self.dt_chi = np.empty((3, 2 * n - 1))
+        self.v_cells, self.v_faces = self.v_cf[:n], self.v_cf[n:]
+        self.d_cells, self.chi_faces = self.dt_d[:n], self.dt_chi[n:]
+        self.speed = np.empty(n - 1)
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -312,7 +323,7 @@ def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.multiply(ws.D, ws.dvdx, out=ws.flux_v)
     np.subtract(ws.flux_r, ws.flux_l, out=ws.dy)
     np.divide(ws.dy, h, out=ws.dy)
-    reaction(ws.kin, ws.u, ws.v, out=(ws.ru, ws.rv))
+    reaction(ws.kin, ws.u, ws.v, out=(ws.ru, ws.rv), scratch=ws.Fv)
     np.add(ws.dy, ws.react, out=ws.dy)
     return ws.dy
 
@@ -330,17 +341,24 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     and the taxis-advection bound h/w_max, scaled by cfl_safety.
 
     One motility evaluation covers the cells (for d) and the faces (for
-    chi) together."""
+    chi) together.  Every temporary is a buffer of the config's workspace,
+    and each element takes the operations of the plain expressions
+    0.5*(v[1:] + v[:-1]) and abs(chi*(v[1:] - v[:-1])/h) in their order."""
+    ws = cfg._workspace
     h = cfg.grid.h
     v = state.v
-    n = v.size
-    vf = 0.5 * (v[1:] + v[:-1])
-    vv = np.concatenate((v, vf))
-    # out= arrays, because a custom motility may return scalars
-    d, chi = cfg.mot.d_and_chi(vv, out=(np.empty_like(vv), np.empty_like(vv)))
-    d_max = float(np.max(d[:n]))
-    w = np.abs(chi[n:] * (v[1:] - v[:-1]) / h)
-    w_max = float(np.max(w)) if w.size else 0.0
+    v_r, v_l = v[1:], v[:-1]
+    np.copyto(ws.v_cells, v)
+    np.add(v_r, v_l, out=ws.v_faces)
+    np.multiply(ws.half, ws.v_faces, out=ws.v_faces)
+    # out= buffers also take the scalars a custom motility may return
+    cfg.mot.d_and_chi(ws.v_cf, out=(ws.dt_d, ws.dt_chi))
+    d_max = float(ws.d_cells.max())
+    w = np.subtract(v_r, v_l, out=ws.speed)
+    np.multiply(ws.chi_faces, w, out=w)
+    np.divide(w, ws.h, out=w)
+    np.abs(w, out=w)
+    w_max = float(w.max())
     dt_diff = h * h / (2.0 * max(d_max, cfg.D))
     dt_adv = h / (w_max + 1e-300)
     return cfg.cfl_safety * min(dt_diff, dt_adv)

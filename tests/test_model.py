@@ -17,6 +17,7 @@ from preytaxis_lab.model import (
     eval_reaction,
     global_stability_report,
     k0_bound,
+    reaction,
 )
 
 CP = dict(gamma=2.0, theta=1.0, mu=1.0, K=4.0, lam=1.0)
@@ -60,6 +61,105 @@ class TestEvalReaction:
         du, dv = eval_reaction(rm(), u, v)
         assert du.shape == (3,)
         assert du[1] == pytest.approx(0.0, abs=1e-14)
+
+
+def rm_as_custom(gamma=2.0, theta=1.0, mu=1.0, K=4.0, lam=5.0):
+    """Holling-II kinetics routed through the custom-evaluator interface."""
+    return KineticsModel.custom(
+        gamma, theta, 0.0, mu, K,
+        F=lambda v: v / (lam + v),
+        F_prime=lambda v: lam / (lam + v) ** 2,
+        f=lambda v: mu * v * (1.0 - v / K),
+        f_prime=lambda v: mu * (1.0 - 2.0 * v / K),
+    )
+
+
+def same_bits(a, b):
+    """Equal as float64 arrays to the last bit, signs of zero and NaN
+    payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# zeros of both signs, subnormals, huge values, negatives and NaN
+V_SAMPLES = np.array(
+    [0.0, -0.0, 5e-324, 1e-300, 0.1, 0.7, 1.0, 3.9999, 4.0, 17.5, 1e150, 1e300, -0.3, -2.0, np.nan]
+)
+LV_KIN = KineticsModel.lotka_volterra(2.0, 1.0, 0.1, 1.3, 4.0)
+RM_KIN = KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.3, 4.0, 0.7)
+
+
+class TestKineticsOut:
+    """F and f with ``out=`` write the closed forms into the caller's
+    buffer bit for bit; the scalar path keeps returning Python floats."""
+
+    # the closed forms, written out with the models' float parameters
+    CLOSED_F = {
+        "lv": lambda v: v + 0.0,
+        "rm": lambda v: v / (0.7 + v),
+    }
+    CLOSED_f = {
+        "lv": lambda v: 1.3 * v * (1.0 - v / 4.0),
+        "rm": lambda v: 1.3 * v * (1.0 - v / 4.0),
+    }
+    BUILTIN = {"lv": LV_KIN, "rm": RM_KIN}
+
+    @pytest.mark.parametrize("name", ["lv", "rm"])
+    def test_builtin_out_matches_closed_forms(self, name):
+        kin, v = self.BUILTIN[name], V_SAMPLES.copy()
+        with np.errstate(all="ignore"):
+            F_ref, f_ref = self.CLOSED_F[name](v), self.CLOSED_f[name](v)
+            out, scratch = np.full_like(v, 9.0), np.full_like(v, 9.0)
+            assert kin.F(v, out=out) is out and same_bits(out, F_ref)
+            assert kin.f(v, out=out, scratch=scratch) is out and same_bits(out, f_ref)
+            fresh = np.full_like(v, 9.0)
+            assert kin.f(v, out=fresh) is fresh and same_bits(fresh, f_ref)
+            # the allocating path agrees with both
+            assert same_bits(kin.F(v), F_ref) and same_bits(kin.f(v), f_ref)
+        assert same_bits(v, V_SAMPLES)  # the input is left alone
+
+    @pytest.mark.parametrize("name", ["lv", "rm"])
+    def test_scalar_input_keeps_python_floats(self, name):
+        kin = self.BUILTIN[name]
+        out = np.empty(1)
+        for x in (0.0, 0.37, 1.0, 2.5, 4.0, 11.0):
+            F, f = kin.F(x), kin.f(x)
+            assert type(F) is float and F == self.CLOSED_F[name](x)
+            assert type(f) is float and f == self.CLOSED_f[name](x)
+            assert same_bits(kin.F(np.array([x]), out=out), [F])
+            assert same_bits(kin.f(np.array([x]), out=out, scratch=np.empty(1)), [f])
+
+    def test_custom_kinds_copy_their_evaluators(self):
+        # evaluators that return Python scalars whatever v is
+        flat = KineticsModel.custom(
+            1.0, 0.5, 0.0, 1.0, 2.0,
+            F=lambda v: 0.25, F_prime=lambda v: 0.0, f=lambda v: -0.0, f_prime=lambda v: 0.0,
+        )
+        v = np.abs(V_SAMPLES[:-1])
+        for kin in (rm_as_custom(), flat):
+            with np.errstate(over="ignore"):
+                F_ref = np.broadcast_to(kin.F_eval(v), v.shape)
+                f_ref = np.broadcast_to(kin.f_eval(v), v.shape)
+                out, scratch = np.full_like(v, 9.0), np.full_like(v, 9.0)
+                assert kin.F(v, out=out) is out and same_bits(out, F_ref)
+                assert kin.f(v, out=out, scratch=scratch) is out and same_bits(out, f_ref)
+        assert type(flat.F(1.0)) is float and flat.F(1.0) == 0.25
+
+    @pytest.mark.parametrize(
+        "kin", [LV_KIN, RM_KIN, rm_as_custom()], ids=["lv", "rm", "custom"]
+    )
+    def test_reaction_with_scratch_matches_allocating_call(self, kin):
+        rng = np.random.default_rng(2)
+        u, v = rng.uniform(0.0, 3.0, 64), rng.uniform(0.0, 5.0, 64)
+        du_ref, dv_ref = reaction(kin, u, v)
+        # the expressions of reaction's docstring, element by element
+        Fv = kin.F(v)
+        assert same_bits(du_ref, kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u)
+        assert same_bits(dv_ref, kin.f(v) - u * Fv)
+        out, scratch = (np.full(64, 9.0), np.full(64, 9.0)), np.full(64, 9.0)
+        du, dv = reaction(kin, u, v, out=out, scratch=scratch)
+        assert du is out[0] and dv is out[1]
+        assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
 
 
 class TestEquilibria:
@@ -167,17 +267,6 @@ class TestHypotheses:
         rep = check_hypotheses(rm(), mot, v_max=4.0, n_samples=400)
         assert rep.h1.status is HypothesisStatus.FAILS
         assert rep.h1.violation > 1e-12
-
-
-def rm_as_custom(gamma=2.0, theta=1.0, mu=1.0, K=4.0, lam=5.0):
-    """Holling-II kinetics routed through the custom-evaluator interface."""
-    return KineticsModel.custom(
-        gamma, theta, 0.0, mu, K,
-        F=lambda v: v / (lam + v),
-        F_prime=lambda v: lam / (lam + v) ** 2,
-        f=lambda v: mu * v * (1.0 - v / K),
-        f_prime=lambda v: mu * (1.0 - 2.0 * v / K),
-    )
 
 
 class TestCustomEvaluators:

@@ -601,6 +601,60 @@ class TestWorkspace:
         assert np.array_equal(u_cfg, expected[3][0]) and np.array_equal(v_cfg, expected[3][1])
 
 
+class TestStableDtInTheWorkspace:
+    """stable_dt shares the config's workspace with rhs and rk4_step: calls
+    interleaved on one config give what separate configs give."""
+
+    @pytest.mark.parametrize(
+        "mot",
+        [*MOTILITIES.values(), MotilityModel.custom(lambda v: 0.3, lambda v: 0.0, lambda v: 0.4)],
+        ids=[*MOTILITIES, "scalar_custom"],
+    )
+    def test_interleaved_calls_match_separate_configs(self, mot):
+        cfg = cp_config(mot=mot, perturbation=Perturbation(0.2, 1))
+        steps_only, dt_only, rhs_only = (dataclasses.replace(cfg) for _ in range(3))
+        st = init_state(cfg)
+        dt = stable_dt(st, cfg)
+        assert dt == stable_dt(st, dt_only) == reference_stable_dt(st, cfg)
+        u, v = st.u, st.v
+        u_ref, v_ref = st.u, st.v
+        for _ in range(8):
+            u, v = rk4_step(cfg, u, v, dt)
+            dt_mid = stable_dt(State(0.0, u, v), cfg)
+            du, dv = rhs(State(0.0, u, v), cfg)
+            kept = [x.copy() for x in (u, v, du, dv)]
+            assert stable_dt(State(0.0, u, v), cfg) == dt_mid
+            u_ref, v_ref = rk4_step(steps_only, u_ref, v_ref, dt)
+            assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+            assert dt_mid == stable_dt(State(0.0, u, v), dt_only)
+            assert dt_mid == reference_stable_dt(State(0.0, u, v), cfg)
+            du_ref, dv_ref = rhs(State(0.0, u, v), rhs_only)
+            assert np.array_equal(du, du_ref) and np.array_equal(dv, dv_ref)
+            # nothing the caller holds was overwritten by the later calls
+            assert all(np.array_equal(x, y) for x, y in zip((u, v, du, dv), kept))
+        assert not np.array_equal(u, st.u)
+
+    def test_rhs_and_stable_dt_allocate_no_cell_arrays(self):
+        import tracemalloc
+
+        n = 4096
+        cfg = cp_config(
+            grid=Grid1D(8 * math.pi, n),
+            base_state=(np.full(n, CP_CO.u), np.full(n, CP_CO.v)),
+            perturbation=Perturbation(0.2, 1),
+        )
+        st = init_state(cfg)
+        stable_dt(st, cfg)  # builds the workspace
+        tracemalloc.start()
+        try:
+            solver._rhs_arrays(cfg, st.u, st.v)
+            stable_dt(st, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n / 4  # far below one array of n floats
+
+
 def _injecting(monkeypatch, at_step, field, cell, value):
     """Rebind solver.rk4_step so that the given step's result carries
     ``value`` at ``field[cell]``."""
