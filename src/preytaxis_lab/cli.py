@@ -10,6 +10,10 @@ Subcommands
                snapshots.csv, final_state.csv
   sweep        per-diffusivity instability census        -> sweep.csv
 
+Each config key is one ``RunConfig`` field, which holds its ``[section]``,
+parser, default (config text for the parser) and range check; parsing,
+validation and the manifest's config echo read those fields.
+
 All numeric CSV fields carry 17 significant digits (exact float
 round-trip); re-running a subcommand with the same config and seed
 produces byte-identical CSV bodies.
@@ -25,7 +29,8 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -54,6 +59,7 @@ from .model import (
 )
 from .solver import (
     PRNG_NAME,
+    SCHEMES,
     BlowUpError,
     Grid1D,
     NonPhysicalError,
@@ -80,60 +86,6 @@ class ModelError(Exception):
 
 class MissingEquilibriumError(Exception):
     """The requested analysis needs a coexistence state that does not exist."""
-
-
-@dataclass
-class RunConfig:
-    """Run settings with their defaults; ``_FIELDS`` maps config keys onto
-    these attributes."""
-
-    model_kind: str = "rm"
-    gamma: float = 2.0
-    theta: float = 1.0
-    alpha: float = 0.0
-    mu: float = 1.0
-    K: float = 4.0
-    lam: float = 1.0
-    mot_kind: str = "d1"
-    d_const: float = 1.0
-    chi_const: float = 0.0
-    length: float = 8.0 * math.pi
-    n_cells: int = 256
-    scheme: str = "rk4"
-    cfl_safety: float = 0.4
-    t_end: float = 500.0
-    snapshot_count: int = 200
-    epsilon: float = 0.01
-    seed: int = 0
-    D_values: list[float] = field(default_factory=lambda: [0.1])
-    ell: float | None = None
-    n_max: int | None = None
-    eta_grid: np.ndarray = field(
-        default_factory=lambda: np.geomspace(1e-2, 1e2, 200)
-    )
-    out_dir: str = "out"
-
-    @property
-    def D(self) -> float:
-        if len(self.D_values) != 1:
-            raise ConfigError("this subcommand needs a single diffusivity D")
-        return self.D_values[0]
-
-    @property
-    def analysis_ell(self) -> float:
-        return self.length if self.ell is None else self.ell
-
-    def echo(self) -> dict:
-        """The config as the manifest records it, one entry per ``_FIELDS`` row."""
-        out: dict = {}
-        for section, key, attr, _, _ in _FIELDS:
-            value = getattr(self, attr)
-            if key == "ell":
-                value = self.analysis_ell
-            elif key == "eta_grid":
-                key, value = "eta_grid_points", int(value.size)
-            out.setdefault(section, {})[key] = value
-        return out
 
 
 # Config value parsers: each takes the stripped raw string and raises
@@ -189,50 +141,106 @@ def _value_list(raw: str) -> list[float]:
     return values
 
 
-# One row per config key: (section, key, RunConfig attribute, parser, range
-# check).  A range check is (predicate on the attribute, message) or None;
-# unset optional keys (None) pass.  The constructors in model/solver repeat
-# some checks for library callers; these rows guard file input for every
-# subcommand, including those that never build a grid or solver.
-_FIELDS = (
-    ("model", "kind", "model_kind",
-     _choice("lv", "rm", lotka_volterra="lv", rosenzweig_macarthur="rm"), None),
-    ("model", "gamma", "gamma", _finite, None),
-    ("model", "theta", "theta", _finite, None),
-    ("model", "alpha", "alpha", _finite, None),
-    ("model", "mu", "mu", _finite, None),
-    ("model", "K", "K", _finite, None),
-    ("model", "lambda", "lam", _finite, None),
-    ("motility", "kind", "mot_kind",
-     _choice("d1", "d2", "d3", "constant", "custom"), None),
-    ("motility", "d_const", "d_const", _finite, None),
-    ("motility", "chi_const", "chi_const", _finite, None),
-    ("domain", "length", "length", _finite,
-     (lambda x: x > 0, "domain length must be positive")),
-    ("domain", "n_cells", "n_cells", _integer,
-     (lambda n: n >= 8, "n_cells must be >= 8")),
-    ("solver", "scheme", "scheme", _choice("rk4", "imex"), None),
-    ("solver", "cfl_safety", "cfl_safety", _finite,
-     (lambda c: 0.0 < c <= 1.0, "cfl_safety must lie in (0, 1]")),
-    ("solver", "t_end", "t_end", _finite, (lambda t: t > 0, "t_end must be positive")),
-    ("solver", "snapshot_count", "snapshot_count", _integer,
-     (lambda n: n >= 2, "snapshot_count must be >= 2")),
-    ("solver", "epsilon", "epsilon", _finite,
-     (lambda e: e >= 0, "epsilon must be >= 0")),
-    ("solver", "seed", "seed", _integer,
-     (lambda s: 0 <= s < 2**64, "seed must be a nonnegative 64-bit integer")),
-    ("analysis", "D", "D_values", _value_list,
-     (lambda Ds: all(D > 0 for D in Ds), "diffusivity D must be positive")),
-    ("analysis", "ell", "ell", _finite,
-     (lambda ell: ell is None or ell > 0, "domain length must be positive")),
-    ("analysis", "n_max", "n_max", _integer,
-     (lambda n: n is None or n >= 0, "n_max must be >= 0")),
-    ("analysis", "eta_grid", "eta_grid", lambda raw: np.array(_value_list(raw)),
-     (lambda eta: bool(np.all(eta > 0)), "eta_grid values must be positive")),
-    ("output", "directory", "out_dir", str, None),
-)
-_ROWS = {(row[0], row[1]): row for row in _FIELDS}
-_SECTIONS = {row[0] for row in _FIELDS}
+def _key(section: str, key: str, parse, default: str | None, check=None):
+    """A ``RunConfig`` field read from ``key`` in ``[section]`` by ``parse``.
+    ``default`` is config text for ``parse``, or None for an unset optional
+    key; ``check`` is None or (predicate, message), which None values pass."""
+    return field(
+        default_factory=(lambda: None) if default is None else partial(parse, default),
+        metadata={"section": section, "key": key, "parse": parse, "check": check},
+    )
+
+
+@dataclass
+class RunConfig:
+    """Run settings, one ``_key`` field per config key.  The constructors in
+    model/solver repeat some range checks for library callers; these guard
+    file input for every subcommand, including those that never build a
+    grid or solver."""
+
+    model_kind: str = _key(
+        "model", "kind",
+        _choice("lv", "rm", lotka_volterra="lv", rosenzweig_macarthur="rm"), "rm",
+    )
+    gamma: float = _key("model", "gamma", _finite, "2")
+    theta: float = _key("model", "theta", _finite, "1")
+    alpha: float = _key("model", "alpha", _finite, "0")
+    mu: float = _key("model", "mu", _finite, "1")
+    K: float = _key("model", "K", _finite, "4")
+    lam: float = _key("model", "lambda", _finite, "1")
+    mot_kind: str = _key(
+        "motility", "kind", _choice("d1", "d2", "d3", "constant", "custom"), "d1"
+    )
+    d_const: float = _key("motility", "d_const", _finite, "1")
+    chi_const: float = _key("motility", "chi_const", _finite, "0")
+    length: float = _key(
+        "domain", "length", _finite, "25.132741228718345",  # 8*pi
+        (lambda x: x > 0, "domain length must be positive"),
+    )
+    n_cells: int = _key(
+        "domain", "n_cells", _integer, "256", (lambda n: n >= 8, "n_cells must be >= 8")
+    )
+    scheme: str = _key("solver", "scheme", _choice(*SCHEMES), "rk4")
+    cfl_safety: float = _key(
+        "solver", "cfl_safety", _finite, "0.4",
+        (lambda c: 0.0 < c <= 1.0, "cfl_safety must lie in (0, 1]"),
+    )
+    t_end: float = _key(
+        "solver", "t_end", _finite, "500", (lambda t: t > 0, "t_end must be positive")
+    )
+    snapshot_count: int = _key(
+        "solver", "snapshot_count", _integer, "200",
+        (lambda n: n >= 2, "snapshot_count must be >= 2"),
+    )
+    epsilon: float = _key(
+        "solver", "epsilon", _finite, "0.01", (lambda e: e >= 0, "epsilon must be >= 0")
+    )
+    seed: int = _key(
+        "solver", "seed", _integer, "0",
+        (lambda s: 0 <= s < 2**64, "seed must be a nonnegative 64-bit integer"),
+    )
+    D_values: list[float] = _key(
+        "analysis", "D", _value_list, "0.1",
+        (lambda Ds: all(D > 0 for D in Ds), "diffusivity D must be positive"),
+    )
+    ell: float | None = _key(
+        "analysis", "ell", _finite, None,
+        (lambda ell: ell > 0, "domain length must be positive"),
+    )
+    n_max: int | None = _key(
+        "analysis", "n_max", _integer, None, (lambda n: n >= 0, "n_max must be >= 0")
+    )
+    eta_grid: np.ndarray = _key(
+        "analysis", "eta_grid", lambda raw: np.array(_value_list(raw)), "log:1e-2:1e2:200",
+        (lambda eta: bool(np.all(eta > 0)), "eta_grid values must be positive"),
+    )
+    out_dir: str = _key("output", "directory", str, "out")
+
+    @property
+    def D(self) -> float:
+        if len(self.D_values) != 1:
+            raise ConfigError("this subcommand needs a single diffusivity D")
+        return self.D_values[0]
+
+    @property
+    def analysis_ell(self) -> float:
+        return self.length if self.ell is None else self.ell
+
+    def echo(self) -> dict:
+        """The config as the manifest records it, one entry per field."""
+        out: dict = {}
+        for f in fields(self):
+            key, value = f.metadata["key"], getattr(self, f.name)
+            if key == "ell":
+                value = self.analysis_ell
+            elif key == "eta_grid":
+                key, value = "eta_grid_points", int(value.size)
+            out.setdefault(f.metadata["section"], {})[key] = value
+        return out
+
+
+_KEYS = {(f.metadata["section"], f.metadata["key"]): f for f in fields(RunConfig)}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def load_config(path: str) -> RunConfig:
@@ -254,20 +262,20 @@ def load_config(path: str) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            row = _ROWS.get((section, key))
-            if row is None:
+            f = _KEYS.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             try:
-                value = row[3](raw.strip())
+                value = f.metadata["parse"](raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}={raw!r}: {exc}") from exc
-            setattr(rc, row[2], value)
+            setattr(rc, f.name, value)
     return rc
 
 
 def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
-    """Instantiate the kinetics/motility models and run the range checks of
-    ``_FIELDS``; range errors map to exit 3."""
+    """Instantiate the kinetics/motility models and run the fields' range
+    checks; range errors map to exit 3."""
     try:
         if rc.model_kind == "lv":
             kin = KineticsModel.lotka_volterra(rc.gamma, rc.theta, rc.alpha, rc.mu, rc.K)
@@ -283,8 +291,9 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
             mot = MotilityModel.constant(rc.d_const, rc.chi_const)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
-    for _, _, attr, _, check in _FIELDS:
-        if check is not None and not check[0](getattr(rc, attr)):
+    for f in fields(rc):
+        check, value = f.metadata["check"], getattr(rc, f.name)
+        if check is not None and value is not None and not check[0](value):
             raise ModelError(check[1])
     return kin, mot
 
@@ -293,21 +302,10 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
 # Output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return ""
-    return format(xf, ".17g")
-
-
 def _template(kinds: tuple[type, ...], nans: tuple[bool, ...]) -> str:
-    """%-template of a CSV line whose fields have the given types; it
-    writes what _fmt does.  Fields flagged in ``nans`` are written empty
-    and take no value."""
+    """%-template of a CSV line whose fields have the given types: str as
+    is, int in decimal, float with 17 significant digits.  Fields flagged
+    in ``nans`` are written empty and take no value."""
     return ",".join(
         "" if nan
         else "%s" if issubclass(k, str)
@@ -315,10 +313,6 @@ def _template(kinds: tuple[type, ...], nans: tuple[bool, ...]) -> str:
         else "%.17g"
         for k, nan in zip(kinds, nans)
     ) + "\n"
-
-
-def _fmt_line(row) -> str:
-    return ",".join(_fmt(x) for x in row) + "\n"
 
 
 def _table(rows):
@@ -349,8 +343,8 @@ def _states(x: list[float], states):
 
     x is formatted once per table and lead once per block; a block is one
     %-template, with them already in it, over the cells' u and v.  A block
-    in which it wrote "nan" is formatted again row by row through ``_fmt``,
-    as ``_table`` does, so NaN floats come out empty.  One block per state
+    in which it wrote "nan" is formatted again row by row through
+    ``_table``, so NaN floats come out empty.  One block per state
     keeps every string small (about 20 KB at 256 cells): a string the size
     of a whole file would be mmapped by malloc, and freeing it raises
     glibc's mmap threshold for the rest of the process.
@@ -361,10 +355,8 @@ def _states(x: list[float], states):
         values = tuple(np.stack((u, v), axis=1).ravel().tolist())
         text = (head + head.join(cells)) % values
         if "nan" in text:
-            text = "".join(
-                _fmt_line((*lead, xi, ui, vi))
-                for xi, ui, vi in zip(x, values[::2], values[1::2])
-            )
+            rows = zip(x, values[::2], values[1::2])
+            text = "".join(line for line, _ in _table((*lead, *row) for row in rows))
         yield text, len(cells)
 
 
@@ -716,8 +708,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             rc.out_dir = args.out
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be a nonnegative 64-bit integer")
+            in_range, message = _KEYS["solver", "seed"].metadata["check"]
+            if not in_range(args.seed):
+                raise ConfigError(f"--{message}")
             rc.seed = args.seed
         return commands[args.command](rc)
     except ConfigError as exc:

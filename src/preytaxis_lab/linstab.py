@@ -423,10 +423,8 @@ def min_stabilizing_D(
         eta_stop = max(eta_stop, 4.0 * beta.beta3 / beta.beta2)
     n_stop = max(16, math.ceil(ell * math.sqrt(eta_stop) / math.pi) + 2)
     n = np.arange(1, n_stop + 1)
-    eta = (n * math.pi / ell) ** 2
-    D_H = beta.beta1 / eta - d
-    D_S = beta.beta2 / (d * eta) - beta.beta3 / (d * eta * eta)
-    best = float(np.max(np.maximum(D_H, D_S)))
+    curve = bifurcation_curves(kin, mot, eq, (n * math.pi / ell) ** 2)
+    best = float(np.max(np.maximum(curve.D_H, curve.D_S)))
 
     # Tail suprema of the discrete sets (approached, not attained).
     tail = -d if beta.beta1 <= 0.0 else math.inf

@@ -224,13 +224,13 @@ class MotilityKind(Enum):
     CUSTOM = "custom"
 
 
-# Builtin motilities d(v) = 1/(m + exp(r*(v-1))) with chi = -d'.
-_LOGISTIC_PARAMS = {
-    MotilityKind.D1: (1.0, 2.0),
-    MotilityKind.D2: (1.0, 0.1),
-    MotilityKind.D3: (9.0, 2.0),
+# Builtin motilities d(v) = 1/(m + exp(r*(v-1))) with chi = -d', as 0-d
+# operands (m, r).
+_LOGISTIC_OPERANDS = {
+    MotilityKind.D1: _operands(1.0, 2.0),
+    MotilityKind.D2: _operands(1.0, 0.1),
+    MotilityKind.D3: _operands(9.0, 2.0),
 }
-_LOGISTIC_OPERANDS = {kind: _operands(*mr) for kind, mr in _LOGISTIC_PARAMS.items()}
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ class MotilityModel:
     chi_is_minus_dprime: bool = False
 
     def __post_init__(self):
-        if self.kind in _LOGISTIC_PARAMS:
+        if self.kind in _LOGISTIC_OPERANDS:
             object.__setattr__(self, "chi_is_minus_dprime", True)
         elif self.kind is MotilityKind.CONSTANT:
             if self.d_const <= 0:
@@ -291,15 +291,9 @@ class MotilityModel:
             chi_is_minus_dprime=chi_is_minus_dprime,
         )
 
-    @staticmethod
-    def _w(r, v):
-        return np.exp(np.minimum(r * (np.asarray(v, dtype=float) - 1.0), _EXP_CAP))
-
     def d(self, v):
-        if self.kind in _LOGISTIC_PARAMS:
-            m, r = _LOGISTIC_PARAMS[self.kind]
-            out = 1.0 / (m + self._w(r, v))
-            return float(out) if np.ndim(v) == 0 else out
+        if self.kind in _LOGISTIC_OPERANDS:
+            return self.d_and_chi(v)[0]
         if self.kind is MotilityKind.CONSTANT:
             return (
                 self.d_const
@@ -309,20 +303,15 @@ class MotilityModel:
         return self.d_eval(v)
 
     def d_prime(self, v):
-        if self.kind in _LOGISTIC_PARAMS:
-            m, r = _LOGISTIC_PARAMS[self.kind]
-            w = self._w(r, v)
-            # -r*w/(m+w)^2, written to avoid overflow in w**2
-            out = -r * (np.sqrt(w) / (m + w)) ** 2
-            return float(out) if np.ndim(v) == 0 else out
+        if self.kind in _LOGISTIC_OPERANDS:
+            return -self.d_and_chi(v)[1]
         if self.kind is MotilityKind.CONSTANT:
             return 0.0 if np.ndim(v) == 0 else np.zeros_like(np.asarray(v, dtype=float))
         return self.dp_eval(v)
 
     def chi(self, v):
-        if self.kind in _LOGISTIC_PARAMS:
-            out = -self.d_prime(v)
-            return out
+        if self.kind in _LOGISTIC_OPERANDS:
+            return self.d_and_chi(v)[1]
         if self.kind is MotilityKind.CONSTANT:
             return (
                 self.chi_const
@@ -334,8 +323,9 @@ class MotilityModel:
     def d_and_chi(self, v, out=None):
         """(d(v), chi(v)), equal to the separate evaluations bit for bit.
 
-        The builtin kinds share one exponential between the two; the
-        per-element operations are those of ``d`` and ``chi``.  ``out``, a
+        This is the builtin kinds' one evaluator: they share one exponential
+        between the two, and ``d``, ``chi`` and ``d_prime`` (= -chi) take
+        their values from it.  Scalar ``v`` gives Python floats.  ``out``, a
         pair of float arrays shaped like ``v``, receives (d, chi) and is
         returned; the builtin kinds then allocate nothing, while constant
         and custom kinds evaluate as usual and copy into it.

@@ -60,6 +60,8 @@ __all__ = [
     "integrate",
 ]
 
+# The time-stepping schemes ``integrate`` offers.
+SCHEMES = ("rk4", "imex")
 BLOWUP_LIMIT = 1e6
 NEGATIVITY_LIMIT = -1e-8
 
@@ -130,8 +132,8 @@ class SolverConfig:
             raise ValueError("D must be positive")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.scheme not in ("rk4", "imex"):
-            raise ValueError("scheme must be 'rk4' or 'imex'")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.snapshot_count < 2 or self.series_count < 2:
             raise ValueError("need at least two output points")
 

@@ -330,6 +330,47 @@ class TestMotilityIdentities:
             assert np.all(mot.d(v) > 0.0)
 
 
+class TestLogisticMotilityValues:
+    """d, chi and d' of the builtin kinds, bit for bit against their closed
+    forms d = 1/(m + w) and chi = -d' = r*(sqrt(w)/(m + w))**2 with
+    w = exp(min(r*(v - 1), 700)); the solver's reference right-hand side
+    calls ``d`` and ``chi``, so these pin it."""
+
+    # zeros of both signs, subnormals, huge values, negatives, infinities
+    # and the exponent cap at 1e4 (past it) and -1e4 (w == 0)
+    V = np.concatenate(
+        [
+            np.linspace(0.0, 10.0, 2001),
+            [-0.0, 5e-324, 1e-300, -0.3, -2.0, 1e4, 3e4, -1e4, 1e300, np.inf, -np.inf],
+        ]
+    )
+
+    @staticmethod
+    def closed_forms(m, r, v):
+        w = np.exp(np.minimum(r * (v - 1.0), 700.0))
+        x = np.sqrt(w) / (m + w)
+        return 1.0 / (m + w), r * (x * x), -r * (x * x)
+
+    @pytest.mark.parametrize(
+        "mot,m,r",
+        [
+            (MotilityModel.d1(), 1.0, 2.0),
+            (MotilityModel.d2(), 1.0, 0.1),
+            (MotilityModel.d3(), 9.0, 2.0),
+        ],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_values_and_types(self, mot, m, r):
+        assert 0.1 * (1e4 - 1.0) > 700.0 and np.exp(2.0 * (-1e4 - 1.0)) == 0.0
+        d, chi, dp = self.closed_forms(m, r, self.V)
+        for got, want in ((mot.d(self.V), d), (mot.chi(self.V), chi), (mot.d_prime(self.V), dp)):
+            assert type(got) is np.ndarray and same_bits(got, want)
+        for i in (0, 140, 200, 1000, 2000, 2001, 2006, 2007, 2008, 2010, 2011):
+            x = float(self.V[i])
+            for got, want in ((mot.d(x), d[i]), (mot.chi(x), chi[i]), (mot.d_prime(x), dp[i])):
+                assert type(got) is float and same_bits(got, want)
+
+
 class TestPhiDerivative:
     @pytest.mark.parametrize(
         "kin",
