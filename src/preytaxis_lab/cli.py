@@ -44,7 +44,6 @@ from .diagnostics import (
 from .linstab import (
     StabilityClass,
     beta_coefficients,
-    bifurcation_curves,
     dispersion,
     linearize,
     steady_band_threshold,
@@ -480,11 +479,13 @@ def cmd_dispersion(rc: RunConfig) -> int:
 
 def cmd_bifurcation(rc: RunConfig) -> int:
     kin, mot = build_models(rc)
-    eqs = _coexistence_or_fail(kin)
-    co = eqs.coexistence
-    curve = bifurcation_curves(kin, mot, co, rc.eta_grid)
-    beta = beta_coefficients(kin, mot, co)
+    co = _coexistence_or_fail(kin).coexistence
+    try:
+        beta = beta_coefficients(kin, mot, co)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from exc
     d_star = float(mot.d(co.v))
+    curve = beta.curves(d_star, rc.eta_grid)
     run = _Run(rc, "bifurcation")
     run.csv(
         "curves.csv",

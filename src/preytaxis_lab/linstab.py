@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,15 @@ class LinearizedSystem:
         """u_s * chi(v_s), the cross-diffusion strength."""
         return -float(self.A[0, 1])
 
+    @cached_property
+    def coefficients(self) -> tuple[float, float, float]:
+        """(trace B, c1, det B) with c1 = d* B4 + taxis B3 + B1 D, so that
+        a = (d* + D) k^2 - trace B and b = d* D k^4 - c1 k^2 + det B."""
+        d, D = self.d_star, self.D
+        B1, B2 = float(self.B[0, 0]), float(self.B[0, 1])
+        B3, B4 = float(self.B[1, 0]), float(self.B[1, 1])
+        return B1 + B4, d * B4 + self.taxis * B3 + B1 * D, B1 * B4 - B2 * B3
+
     def M(self, k: float) -> np.ndarray:
         return -(k * k) * self.A + self.B
 
@@ -97,7 +107,8 @@ def linearize(
             [-Fv, -u_s * Fpv + float(kin.f_prime(v_s))],
         ]
     )
-    A = np.array([[float(mot.d(v_s)), -u_s * float(mot.chi(v_s))], [0.0, D]])
+    d, chi = mot.d_and_chi(v_s)
+    A = np.array([[float(d), -u_s * float(chi)], [0.0, D]])
     return LinearizedSystem(A, B, eq)
 
 
@@ -141,15 +152,10 @@ def dispersion(sys: LinearizedSystem, k: float) -> DispersionPoint:
     if k < 0:
         raise ValueError("wavenumber must be >= 0")
     d, D = sys.d_star, sys.D
-    B1, B2 = float(sys.B[0, 0]), float(sys.B[0, 1])
-    B3, B4 = float(sys.B[1, 0]), float(sys.B[1, 1])
+    trace, c1, det = sys.coefficients
     k2 = k * k
-    a = (d + D) * k2 - (B1 + B4)
-    b = (
-        d * D * k2 * k2
-        - (d * B4 + sys.taxis * B3 + B1 * D) * k2
-        + (B1 * B4 - B2 * B3)
-    )
+    a = (d + D) * k2 - trace
+    b = d * D * k2 * k2 - c1 * k2 + det
     delta = a * a - 4.0 * b
     rho = _quadratic_roots(a, b, delta)
     max_re = max(rho[0].real, rho[1].real)
@@ -188,6 +194,15 @@ class BetaCoefficients:
             + (self.beta1**2 - 4.0 * self.beta3)
         )
 
+    def curves(self, d_star: float, eta_grid) -> "BifurcationCurve":
+        """The D roots of a and b on a grid of eta = k^2 > 0."""
+        eta = np.asarray(eta_grid, dtype=float)
+        if np.any(eta <= 0):
+            raise ValueError("eta grid must be positive")
+        D_H = self.beta1 / eta - d_star
+        D_S = self.beta2 / (d_star * eta) - self.beta3 / (d_star * eta * eta)
+        return BifurcationCurve(eta, D_H, D_S)
+
 
 def beta_coefficients(
     kin: KineticsModel, mot: MotilityModel, eq: Equilibrium
@@ -203,8 +218,9 @@ def beta_coefficients(
         raise ValueError("beta coefficients are defined at the coexistence state")
     mu, K, lam = kin.mu, kin.K, kin.lam
     v = eq.v
+    d, chi = mot.d_and_chi(v)
     beta1 = mu * v * (K - lam - 2.0 * v) / (K * (lam + v))
-    beta2 = beta1 * float(mot.d(v)) - mu * v * (K - v) * float(mot.chi(v)) / K
+    beta2 = beta1 * float(d) - mu * v * (K - v) * float(chi) / K
     beta3 = lam * kin.theta * mu * (K - v) / (K * (lam + v))
     return BetaCoefficients(beta1, beta2, beta3)
 
@@ -227,14 +243,7 @@ def bifurcation_curves(
     kin: KineticsModel, mot: MotilityModel, eq: Equilibrium, eta_grid
 ) -> BifurcationCurve:
     """Evaluate both bifurcation curves on a grid of eta = k^2 > 0."""
-    eta = np.asarray(eta_grid, dtype=float)
-    if np.any(eta <= 0):
-        raise ValueError("eta grid must be positive")
-    beta = beta_coefficients(kin, mot, eq)
-    d = float(mot.d(eq.v))
-    D_H = beta.beta1 / eta - d
-    D_S = beta.beta2 / (d * eta) - beta.beta3 / (d * eta * eta)
-    return BifurcationCurve(eta, D_H, D_S)
+    return beta_coefficients(kin, mot, eq).curves(float(mot.d(eq.v)), eta_grid)
 
 
 def steady_band(
@@ -262,25 +271,12 @@ def steady_band(
 
 
 def steady_band_threshold(beta: BetaCoefficients, d_star: float) -> float | None:
-    """Diffusivity at which the stationary band closes (Lambda = 0), found
-    by bisection on Lambda(D); None when beta2 <= 0 (no band for any D)."""
+    """Diffusivity D0 = beta2^2 / (4 beta3 d*) at which the stationary band
+    closes: Lambda(D) = beta2^2 - 4 beta3 D d* is linear in D and vanishes
+    there.  None when beta2 <= 0 (no band for any D)."""
     if beta.beta2 <= 0.0:
         return None
-    lam = lambda D: beta.beta2**2 - 4.0 * beta.beta3 * D * d_star
-    lo, hi = 0.0, 1.0
-    while lam(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("Lambda fails to change sign")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lam(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return beta.beta2**2 / (4.0 * beta.beta3 * d_star)
 
 
 def hopf_band(
@@ -342,14 +338,10 @@ def _instability_cutoff(sys: LinearizedSystem) -> float:
     (B1+B4)/(d*+D) and b < 0 only between the roots of the k^2-quadratic.
     """
     d, D = sys.d_star, sys.D
-    B1, B2 = float(sys.B[0, 0]), float(sys.B[0, 1])
-    B3, B4 = float(sys.B[1, 0]), float(sys.B[1, 1])
+    tr, c1, c0 = sys.coefficients
     cut = 0.0
-    tr = B1 + B4
     if tr > 0.0:
         cut = max(cut, tr / (d + D))
-    c1 = d * B4 + sys.taxis * B3 + B1 * D
-    c0 = B1 * B4 - B2 * B3
     disc = c1 * c1 - 4.0 * d * D * c0
     if disc >= 0.0:
         upper = (c1 + math.sqrt(disc)) / (2.0 * d * D)
@@ -423,7 +415,7 @@ def min_stabilizing_D(
         eta_stop = max(eta_stop, 4.0 * beta.beta3 / beta.beta2)
     n_stop = max(16, math.ceil(ell * math.sqrt(eta_stop) / math.pi) + 2)
     n = np.arange(1, n_stop + 1)
-    curve = bifurcation_curves(kin, mot, eq, (n * math.pi / ell) ** 2)
+    curve = beta.curves(d, (n * math.pi / ell) ** 2)
     best = float(np.max(np.maximum(curve.D_H, curve.D_S)))
 
     # Tail suprema of the discrete sets (approached, not attained).

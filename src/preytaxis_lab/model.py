@@ -66,6 +66,14 @@ def _operands(*values):
 _ZERO, _ONE, _CAP = _operands(0.0, 1.0, _EXP_CAP)
 
 
+def _allocating(method, v):
+    """``method(v, out=...)`` into a new float array shaped like ``v``;
+    scalar ``v`` gives a Python float."""
+    v = np.asarray(v, dtype=float)
+    out = method(v, out=np.empty(v.shape))
+    return float(out) if out.ndim == 0 else out
+
+
 class KineticsKind(Enum):
     LOTKA_VOLTERRA = "lotka_volterra"
     ROSENZWEIG_MACARTHUR = "rosenzweig_macarthur"
@@ -89,8 +97,9 @@ class KineticsModel:
     (``f`` needs a ``scratch`` array of the same kind for mu*v, or
     allocates one), and each element takes the operations of the closed
     forms above in their order; custom kinds evaluate as usual and copy
-    in.  Without ``out=`` the builtin kinds keep their scalar path: a
-    Python float in gives a Python float out.
+    in.  Without ``out=`` the builtin kinds allocate the result and fill
+    it the same way, so each closed form is written once; scalar ``v``
+    gives a Python float.
     """
 
     kind: KineticsKind
@@ -153,20 +162,18 @@ class KineticsModel:
     # Functional response and prey kinetics -------------------------------
 
     def F(self, v, out=None):
-        if out is not None:
-            if self.kind is KineticsKind.LOTKA_VOLTERRA:
-                return np.add(v, _ZERO, out=out)
-            if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR:
-                lam = self._shape_operands[2]
-                np.add(lam, v, out=out)
-                return np.divide(v, out, out=out)
+        if self.kind is KineticsKind.CUSTOM:
+            if out is None:
+                return self.F_eval(v)
             np.copyto(out, self.F_eval(v))
             return out
+        if out is None:
+            return _allocating(self.F, v)
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
-            return np.asarray(v) + 0.0 if isinstance(v, np.ndarray) else float(v)
-        if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR:
-            return v / (self.lam + v)
-        return self.F_eval(v)
+            return np.add(v, _ZERO, out=out)
+        lam = self._shape_operands[2]
+        np.add(lam, v, out=out)
+        return np.divide(v, out, out=out)
 
     def F_prime(self, v):
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
@@ -176,13 +183,13 @@ class KineticsModel:
         return self.Fp_eval(v)
 
     def f(self, v, out=None, scratch=None):
-        if out is None:
-            if self.kind is KineticsKind.CUSTOM:
-                return self.f_eval(v)
-            return self.mu * v * (1.0 - v / self.K)
         if self.kind is KineticsKind.CUSTOM:
+            if out is None:
+                return self.f_eval(v)
             np.copyto(out, self.f_eval(v))
             return out
+        if out is None:
+            return _allocating(self.f, v)
         mu, K, _ = self._shape_operands
         # scratch holds mu*v and out (1 - v/K)
         scratch = np.multiply(mu, v, out=scratch)
@@ -239,6 +246,8 @@ class MotilityModel:
 
     The builtin kinds d1, d2, d3 are decreasing logistic-type motilities
     with the taxis coefficient tied to the motility slope (chi = -d').
+    ``d_and_chi`` evaluates every kind; ``d``, ``chi`` and the builtin
+    kinds' ``d_prime`` read their values from it.
     """
 
     kind: MotilityKind
@@ -247,18 +256,12 @@ class MotilityModel:
     chi_eval: Callable | None = field(default=None, repr=False)
     d_const: float = 1.0
     chi_const: float = 0.0
-    chi_is_minus_dprime: bool = False
 
     def __post_init__(self):
-        if self.kind in _LOGISTIC_OPERANDS:
-            object.__setattr__(self, "chi_is_minus_dprime", True)
-        elif self.kind is MotilityKind.CONSTANT:
+        if self.kind is MotilityKind.CONSTANT:
             if self.d_const <= 0:
                 raise ValueError("constant motility must be positive")
-            object.__setattr__(
-                self, "chi_is_minus_dprime", self.chi_const == 0.0
-            )
-        else:
+        elif self.kind is MotilityKind.CUSTOM:
             for name in ("d_eval", "dp_eval", "chi_eval"):
                 if getattr(self, name) is None:
                     raise ValueError(f"custom motility requires {name}")
@@ -282,57 +285,46 @@ class MotilityModel:
         )
 
     @staticmethod
-    def custom(d, d_prime, chi, chi_is_minus_dprime=False) -> "MotilityModel":
-        return MotilityModel(
-            MotilityKind.CUSTOM,
-            d_eval=d,
-            dp_eval=d_prime,
-            chi_eval=chi,
-            chi_is_minus_dprime=chi_is_minus_dprime,
-        )
+    def custom(d, d_prime, chi) -> "MotilityModel":
+        return MotilityModel(MotilityKind.CUSTOM, d_eval=d, dp_eval=d_prime, chi_eval=chi)
 
     def d(self, v):
-        if self.kind in _LOGISTIC_OPERANDS:
-            return self.d_and_chi(v)[0]
-        if self.kind is MotilityKind.CONSTANT:
-            return (
-                self.d_const
-                if np.ndim(v) == 0
-                else np.full_like(np.asarray(v, dtype=float), self.d_const)
-            )
-        return self.d_eval(v)
+        if self.kind is MotilityKind.CUSTOM:
+            return self.d_eval(v)
+        return self.d_and_chi(v)[0]
 
     def d_prime(self, v):
-        if self.kind in _LOGISTIC_OPERANDS:
-            return -self.d_and_chi(v)[1]
+        if self.kind is MotilityKind.CUSTOM:
+            return self.dp_eval(v)
         if self.kind is MotilityKind.CONSTANT:
             return 0.0 if np.ndim(v) == 0 else np.zeros_like(np.asarray(v, dtype=float))
-        return self.dp_eval(v)
+        return -self.d_and_chi(v)[1]
 
     def chi(self, v):
-        if self.kind in _LOGISTIC_OPERANDS:
-            return self.d_and_chi(v)[1]
-        if self.kind is MotilityKind.CONSTANT:
-            return (
-                self.chi_const
-                if np.ndim(v) == 0
-                else np.full_like(np.asarray(v, dtype=float), self.chi_const)
-            )
-        return self.chi_eval(v)
+        if self.kind is MotilityKind.CUSTOM:
+            return self.chi_eval(v)
+        return self.d_and_chi(v)[1]
 
     def d_and_chi(self, v, out=None):
-        """(d(v), chi(v)), equal to the separate evaluations bit for bit.
+        """(d(v), chi(v)): the one evaluator of every kind.
 
-        This is the builtin kinds' one evaluator: they share one exponential
-        between the two, and ``d``, ``chi`` and ``d_prime`` (= -chi) take
-        their values from it.  Scalar ``v`` gives Python floats.  ``out``, a
-        pair of float arrays shaped like ``v``, receives (d, chi) and is
-        returned; the builtin kinds then allocate nothing, while constant
-        and custom kinds evaluate as usual and copy into it.
+        The builtin kinds share one exponential between the two, the
+        constant kind fills in its pair and custom kinds call ``d_eval``
+        and ``chi_eval``.  Scalar ``v`` gives Python floats for the
+        builtin and constant kinds.  ``out``, a pair of float arrays shaped
+        like ``v``, receives (d, chi) and is returned; the builtin and
+        constant kinds then allocate nothing, while custom kinds evaluate
+        as usual and copy into it.
         """
         params = _LOGISTIC_OPERANDS.get(self.kind)
         if params is None:
-            d, chi = self.d(v), self.chi(v)
+            if self.kind is MotilityKind.CUSTOM:
+                d, chi = self.d_eval(v), self.chi_eval(v)
+            else:
+                d, chi = self.d_const, self.chi_const
+                if out is None and np.ndim(v) != 0:
+                    v = np.asarray(v, dtype=float)
+                    d, chi = np.full_like(v, d), np.full_like(v, chi)
             if out is None:
                 return d, chi
             np.copyto(out[0], d)
@@ -618,9 +610,10 @@ def check_hypotheses(
     v = np.linspace(0.0, v_max, n_samples)
     holds = HypothesisFinding(HypothesisStatus.HOLDS)
 
+    d, chi = mot.d_and_chi(v)
     h1 = (
-        _first_violation(-np.asarray(mot.d(v)), v, "d(v) > 0")
-        or _first_violation(-np.asarray(mot.chi(v)), v, "chi(v) >= 0")
+        _first_violation(-np.asarray(d), v, "d(v) > 0")
+        or _first_violation(-np.asarray(chi), v, "chi(v) >= 0")
         or _first_violation(np.asarray(mot.d_prime(v)), v, "d'(v) <= 0")
         or holds
     )
@@ -757,27 +750,23 @@ def global_stability_report(
     u_star, v_star = co.u, co.v
     denom_const = 4.0 * kin.gamma * float(kin.F(v_star))
 
+    def coefficients(x):
+        """F, F', d and chi at x, each evaluated once, as float arrays."""
+        d, chi = mot.d_and_chi(x)
+        return (np.asarray(a, dtype=float) for a in (kin.F(x), kin.F_prime(x), d, chi))
+
+    def threshold(F, Fp, d, chi):
+        return u_star * F**2 * chi**2 / (denom_const * Fp * d)
+
     v = np.linspace(0.0, K0, max(n_grid, 10_001))
-    Fp = np.asarray(kin.F_prime(v), dtype=float)
-    dv = np.asarray(mot.d(v), dtype=float)
+    Fv, Fp, dv, chi = coefficients(v)
     if np.any(Fp <= 0.0) or np.any(dv <= 0.0):
         raise ValueError("F'(v) and d(v) must stay positive on [0, K0]")
-
-    def threshold(x):
-        Fx = np.asarray(kin.F(x), dtype=float)
-        cx = np.asarray(mot.chi(x), dtype=float)
-        return (
-            u_star
-            * Fx**2
-            * cx**2
-            / (denom_const * np.asarray(kin.F_prime(x)) * np.asarray(mot.d(x)))
-        )
-
-    vals = threshold(v)
+    vals = threshold(Fv, Fp, dv, chi)
     i = int(np.argmax(vals))
     lo = v[max(0, i - 1)]
     hi = v[min(v.size - 1, i + 1)]
-    x_ref, f_ref = _golden_max(lambda x: float(threshold(x)), lo, hi)
+    x_ref, f_ref = _golden_max(lambda x: float(threshold(*coefficients(x))), lo, hi)
     if f_ref >= vals[i]:
         d_min, v_arg = float(f_ref), float(x_ref)
     else:

@@ -211,6 +211,35 @@ class TestBifurcationCommand:
             if DS > 0:
                 assert abs(beta.b(DS, d_star, eta)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "key, value", [("kind", "lv"), ("alpha", "0.5")], ids=["lv", "rm-alpha"]
+    )
+    def test_kinetics_without_beta_coefficients_exit_3(self, tmp_path, capsys, key, value):
+        # both have a coexistence state, but no closed-form a and b
+        cfg = write_config(tmp_path, set_key(CASE1, "model", key, value))
+        out = str(tmp_path / "out")
+        assert main(["bifurcation", "--config", cfg, "--out", out]) == 3
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err.startswith("model error: ")
+
+    def test_band_closing_far_above_1e12(self, tmp_path):
+        # strong negative taxis: beta2 ~ 7.5e6, so Lambda = 0 at D ~ 3.75e13
+        body = CP_MODEL + "\n[motility]\nkind = constant\nd_const = 1\nchi_const = -1e7\n"
+        cfg = write_config(tmp_path, body)
+        out = str(tmp_path / "out")
+        assert main(["bifurcation", "--config", cfg, "--out", out]) == 0
+        from preytaxis_lab.linstab import beta_coefficients
+        from preytaxis_lab.model import KineticsModel, MotilityModel
+
+        kin = KineticsModel.rosenzweig_macarthur(2, 1, 1, 4, 1)
+        beta = beta_coefficients(
+            kin, MotilityModel.constant(1.0, -1e7), compute_equilibria(kin).coexistence
+        )
+        manifest = read_manifest(out)
+        assert manifest["status"] == "ok"
+        assert manifest["lambda_zero_D"] == beta.beta2**2 / (4.0 * beta.beta3 * 1.0)
+        assert manifest["lambda_zero_D"] > 1e12
+
 
 SIMULATE_SMALL = (
     CP_MODEL

@@ -293,7 +293,6 @@ class TestCustomEvaluators:
             d=lambda v: np.exp(-np.asarray(v, dtype=float)),
             d_prime=lambda v: -np.exp(-np.asarray(v, dtype=float)),
             chi=lambda v: np.exp(-np.asarray(v, dtype=float)),
-            chi_is_minus_dprime=True,
         )
         rep = check_hypotheses(rm(), mot, v_max=4.0, n_samples=400)
         assert rep.h1.status is HypothesisStatus.HOLDS
