@@ -12,7 +12,10 @@ Subcommands
 
 Each config key is one ``RunConfig`` field, which holds its ``[section]``,
 parser, default (config text for the parser) and range check; parsing,
-validation and the manifest's config echo read those fields.
+validation and the manifest's config echo read those fields.  Each setting
+has one key: ``[domain] length`` is the interval that ``simulate`` solves
+on and that ``dispersion`` and ``sweep`` classify Neumann modes on, up to
+the cutoff ``unstable_modes`` computes.
 
 All numeric CSV fields carry 17 significant digits (exact float
 round-trip); re-running a subcommand with the same config and seed
@@ -140,12 +143,12 @@ def _value_list(raw: str) -> list[float]:
     return values
 
 
-def _key(section: str, key: str, parse, default: str | None, check=None):
+def _key(section: str, key: str, parse, default: str, check=None):
     """A ``RunConfig`` field read from ``key`` in ``[section]`` by ``parse``.
-    ``default`` is config text for ``parse``, or None for an unset optional
-    key; ``check`` is None or (predicate, message), which None values pass."""
+    ``default`` is config text for ``parse``; ``check`` is None or
+    (predicate, message)."""
     return field(
-        default_factory=(lambda: None) if default is None else partial(parse, default),
+        default_factory=partial(parse, default),
         metadata={"section": section, "key": key, "parse": parse, "check": check},
     )
 
@@ -168,7 +171,7 @@ class RunConfig:
     K: float = _key("model", "K", _finite, "4")
     lam: float = _key("model", "lambda", _finite, "1")
     mot_kind: str = _key(
-        "motility", "kind", _choice("d1", "d2", "d3", "constant", "custom"), "d1"
+        "motility", "kind", _choice("d1", "d2", "d3", "constant"), "d1"
     )
     d_const: float = _key("motility", "d_const", _finite, "1")
     chi_const: float = _key("motility", "chi_const", _finite, "0")
@@ -202,13 +205,6 @@ class RunConfig:
         "analysis", "D", _value_list, "0.1",
         (lambda Ds: all(D > 0 for D in Ds), "diffusivity D must be positive"),
     )
-    ell: float | None = _key(
-        "analysis", "ell", _finite, None,
-        (lambda ell: ell > 0, "domain length must be positive"),
-    )
-    n_max: int | None = _key(
-        "analysis", "n_max", _integer, None, (lambda n: n >= 0, "n_max must be >= 0")
-    )
     eta_grid: np.ndarray = _key(
         "analysis", "eta_grid", lambda raw: np.array(_value_list(raw)), "log:1e-2:1e2:200",
         (lambda eta: bool(np.all(eta > 0)), "eta_grid values must be positive"),
@@ -221,18 +217,12 @@ class RunConfig:
             raise ConfigError("this subcommand needs a single diffusivity D")
         return self.D_values[0]
 
-    @property
-    def analysis_ell(self) -> float:
-        return self.length if self.ell is None else self.ell
-
     def echo(self) -> dict:
         """The config as the manifest records it, one entry per field."""
         out: dict = {}
         for f in fields(self):
             key, value = f.metadata["key"], getattr(self, f.name)
-            if key == "ell":
-                value = self.analysis_ell
-            elif key == "eta_grid":
+            if key == "eta_grid":
                 key, value = "eta_grid_points", int(value.size)
             out.setdefault(f.metadata["section"], {})[key] = value
         return out
@@ -285,14 +275,12 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
         if rc.mot_kind in ("d1", "d2", "d3"):
             mot = getattr(MotilityModel, rc.mot_kind)()
         else:
-            # 'custom' in a file config carries constant coefficients too;
-            # function-valued motilities are library-level only.
             mot = MotilityModel.constant(rc.d_const, rc.chi_const)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
     for f in fields(rc):
-        check, value = f.metadata["check"], getattr(rc, f.name)
-        if check is not None and value is not None and not check[0](value):
+        check = f.metadata["check"]
+        if check is not None and not check[0](getattr(rc, f.name)):
             raise ModelError(check[1])
     return kin, mot
 
@@ -462,7 +450,7 @@ def cmd_dispersion(rc: RunConfig) -> int:
         ("k", "a", "b", "delta", "re_rho1", "im_rho1", "re_rho2", "im_rho2", "class"),
         _table(rows()),
     )
-    modes = unstable_modes(kin, mot, rc.D, co, rc.analysis_ell, n_max=rc.n_max)
+    modes = unstable_modes(kin, mot, rc.D, co, rc.length)
     run.csv(
         "modes.csv",
         ("n", "k", "class"),
@@ -622,7 +610,7 @@ def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
 def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):
     try:
         eqs = _coexistence_or_fail(kin)
-        modes = unstable_modes(kin, mot, D, eqs.coexistence, rc.analysis_ell, rc.n_max)
+        modes = unstable_modes(kin, mot, D, eqs.coexistence, rc.length)
         n_hopf = sum(1 for m in modes if m.klass is StabilityClass.HOPF_UNSTABLE)
         n_steady = sum(1 for m in modes if m.klass is StabilityClass.STEADY_UNSTABLE)
         if n_hopf == 0 and n_steady == 0:

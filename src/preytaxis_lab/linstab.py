@@ -130,10 +130,6 @@ class DispersionPoint:
     rho: tuple[complex, complex]
     klass: StabilityClass
 
-    @property
-    def max_growth(self) -> float:
-        return max(self.rho[0].real, self.rho[1].real)
-
 
 def _quadratic_roots(a: float, b: float, delta: float) -> tuple[complex, complex]:
     """Roots of rho^2 + a rho + b = 0 without subtractive cancellation."""

@@ -115,23 +115,25 @@ class KineticsModel:
     fp_eval: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("carrying capacity K must be positive")
-        if self.alpha < 0:
-            raise ValueError("competition coefficient alpha must be >= 0")
+        # Each check is written so that NaN fails it.
+        rates = (self.gamma, self.theta, self.mu)
+        if not 0 < self.K < math.inf:
+            raise ValueError("carrying capacity K must be positive and finite")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("competition coefficient alpha must be finite and >= 0")
         if self.kind is KineticsKind.CUSTOM:
             # Zero rates are allowed for custom kinetics so that pure
             # transport (all reactions off) is expressible.
-            if min(self.gamma, self.theta, self.mu) < 0:
-                raise ValueError("rates gamma, theta, mu must be >= 0")
+            if not all(0 <= r < math.inf for r in rates):
+                raise ValueError("rates gamma, theta, mu must be finite and >= 0")
             for name in ("F_eval", "Fp_eval", "f_eval", "fp_eval"):
                 if getattr(self, name) is None:
                     raise ValueError(f"custom kinetics require {name}")
         else:
-            if min(self.gamma, self.theta, self.mu) <= 0:
-                raise ValueError("rates gamma, theta, mu must be positive")
-            if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR and self.lam <= 0:
-                raise ValueError("half-saturation lam must be positive")
+            if not all(0 < r < math.inf for r in rates):
+                raise ValueError("rates gamma, theta, mu must be positive and finite")
+            if self.kind is KineticsKind.ROSENZWEIG_MACARTHUR and not 0 < self.lam < math.inf:
+                raise ValueError("half-saturation lam must be positive and finite")
 
     @staticmethod
     def lotka_volterra(gamma, theta, alpha, mu, K) -> "KineticsModel":
@@ -259,8 +261,10 @@ class MotilityModel:
 
     def __post_init__(self):
         if self.kind is MotilityKind.CONSTANT:
-            if self.d_const <= 0:
-                raise ValueError("constant motility must be positive")
+            if not 0 < self.d_const < math.inf:
+                raise ValueError("constant motility must be positive and finite")
+            if not math.isfinite(self.chi_const):
+                raise ValueError("constant taxis coefficient must be finite")
         elif self.kind is MotilityKind.CUSTOM:
             for name in ("d_eval", "dp_eval", "chi_eval"):
                 if getattr(self, name) is None:
@@ -611,10 +615,12 @@ def check_hypotheses(
     holds = HypothesisFinding(HypothesisStatus.HOLDS)
 
     d, chi = mot.d_and_chi(v)
+    # the builtin kinds tie chi to the slope, so d' = -chi as d_prime has it
+    d_prime = -chi if mot.kind in _LOGISTIC_OPERANDS else mot.d_prime(v)
     h1 = (
         _first_violation(-np.asarray(d), v, "d(v) > 0")
         or _first_violation(-np.asarray(chi), v, "chi(v) >= 0")
-        or _first_violation(np.asarray(mot.d_prime(v)), v, "d'(v) <= 0")
+        or _first_violation(np.asarray(d_prime), v, "d'(v) <= 0")
         or holds
     )
 
@@ -721,12 +727,11 @@ def global_stability_report(
     mot: MotilityModel,
     D: float,
     v0_max: float,
-    n_grid: int = 10_001,
 ) -> StabilityThresholds:
     """Classify the global-stability regime and compute the coexistence
     diffusivity threshold D_min by grid search with local refinement.
 
-    The maximisation grid on [0, K0] has at least 10^4 points; the
+    The maximisation grid on [0, K0] has 10 001 points; the
     discrete maximiser is refined by golden-section search.
     """
     if D <= 0:
@@ -758,7 +763,7 @@ def global_stability_report(
     def threshold(F, Fp, d, chi):
         return u_star * F**2 * chi**2 / (denom_const * Fp * d)
 
-    v = np.linspace(0.0, K0, max(n_grid, 10_001))
+    v = np.linspace(0.0, K0, 10_001)
     Fv, Fp, dv, chi = coefficients(v)
     if np.any(Fp <= 0.0) or np.any(dv <= 0.0):
         raise ValueError("F'(v) and d(v) must stay positive on [0, K0]")

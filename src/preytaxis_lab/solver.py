@@ -76,8 +76,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError("need at least 8 cells")
-        if self.ell <= 0:
-            raise ValueError("domain length must be positive")
+        if not 0 < self.ell < math.inf:
+            raise ValueError("domain length must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -104,8 +104,10 @@ class Perturbation:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 PRNG_NAME = "numpy PCG64 (default_rng)"
@@ -126,10 +128,10 @@ class SolverConfig:
     series_count: int = 500
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.D <= 0:
-            raise ValueError("D must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0 < self.D < math.inf:
+            raise ValueError("D must be positive and finite")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in SCHEMES:

@@ -113,9 +113,11 @@ CASE1 = (
 [motility]
 kind = d1
 
+[domain]
+length = 25.132741228718345
+
 [analysis]
 D = 0.1
-ell = 25.132741228718345
 """
 )
 
@@ -125,9 +127,11 @@ CASE2_ANALYSIS = (
 [motility]
 kind = d2
 
+[domain]
+length = 12.566370614359172
+
 [analysis]
 D = 0.00020833333333333335
-ell = 12.566370614359172
 """
 )
 
@@ -477,9 +481,11 @@ SWEEP = (
 [motility]
 kind = d2
 
+[domain]
+length = 12.566370614359172
+
 [analysis]
 D = 0.0001,0.001,0.01
-ell = 12.566370614359172
 """
 )
 
@@ -533,13 +539,11 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
     def test_simulate_flag_adds_classification_column(self, tmp_path):
+        body = SWEEP.replace("D = 0.0001,0.001,0.01", "D = 0.05,0.1")
+        body = set_key(body, "domain", "length", "6.283185307179586")
         body = (
-            SWEEP.replace("D = 0.0001,0.001,0.01", "D = 0.05,0.1")
+            set_key(body, "domain", "n_cells", "32")
             + """
-[domain]
-length = 6.283185307179586
-n_cells = 32
-
 [solver]
 t_end = 5
 epsilon = 0.01
@@ -697,8 +701,6 @@ class TestConfigTable:
             ((("solver", "epsilon", "-0.1"),), 3),
             ((("solver", "seed", "-1"),), 3),
             ((("analysis", "D", "0.1,-1"),), 3),
-            ((("analysis", "ell", "0"),), 3),
-            ((("analysis", "n_max", "-1"),), 3),
             ((("analysis", "eta_grid", "lin:0:1:5"),), 3),
             ((("model", "lambda", "0"),), 3),
             ((("model", "K", "0"),), 3),
@@ -730,7 +732,6 @@ class TestConfigTable:
             ("simulate", "solver", "t_end", "inf"),
             ("simulate", "solver", "epsilon", "nan"),
             ("dispersion", "domain", "length", "inf"),
-            ("dispersion", "analysis", "ell", "nan"),
             ("equilibria", "model", "gamma", "inf"),
         ],
     )
@@ -738,6 +739,21 @@ class TestConfigTable:
         cfg = write_config(tmp_path, set_key(SIMULATE_SMALL, section, key, value))
         out = str(tmp_path / "out")
         assert main([command, "--config", cfg, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("analysis", "ell", "6.283185307179586"),
+            ("analysis", "n_max", "20"),
+            ("motility", "kind", "custom"),
+        ],
+    )
+    def test_removed_setting_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, set_key(SIMULATE_SMALL, section, key, value))
+        out = str(tmp_path / "out")
+        assert main(["dispersion", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
         assert not os.path.exists(out)
 
     def test_manifest_config_echo(self, tmp_path):
@@ -758,8 +774,7 @@ class TestConfigTable:
                 "snapshot_count": 200, "epsilon": 0.01, "seed": 0,
             },
             "analysis": {
-                "D": [0.1], "ell": 25.132741228718345, "n_max": None,
-                "eta_grid_points": 200,
+                "D": [0.1], "eta_grid_points": 200,
             },
             "output": {},
         }

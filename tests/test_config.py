@@ -1,11 +1,18 @@
 """The run settings a config leaves unset: each default, and that an empty
-config file gives the same settings and passes every range check."""
+config file gives the same settings and passes every range check; and that
+the README's example config names every setting."""
 
+import configparser
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from preytaxis_lab.cli import RunConfig, build_models, load_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Every RunConfig attribute but eta_grid and length, which are checked apart.
 DEFAULTS = {
@@ -27,8 +34,6 @@ DEFAULTS = {
     "epsilon": 0.01,
     "seed": 0,
     "D_values": [0.1],
-    "ell": None,
-    "n_max": None,
     "out_dir": "out",
 }
 
@@ -62,3 +67,15 @@ class TestDefaults:
         a.D_values.append(1.0)
         a.eta_grid[0] = -1.0
         assert b.D_values == [0.1] and b.eta_grid[0] == 1e-2
+
+
+def test_readme_example_config_names_every_key(tmp_path):
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    load_config(str(path))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.optionxform = str
+    parser.read_string(block)
+    named = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert named == {(f.metadata["section"], f.metadata["key"]) for f in fields(RunConfig)}

@@ -319,3 +319,17 @@ def test_global_stability_report_evaluates_each_coefficient_once_on_the_grid():
     rep = global_stability_report(kin, mot, 0.3, 4.0)
     assert rep.regime is Regime.COEXISTENCE and rep.D_min > 0.0
     assert grid_calls == {"F": 1, "Fp": 1, "d": 1, "chi": 1}
+
+
+def test_check_hypotheses_evaluates_builtin_motility_once(monkeypatch):
+    calls = []
+    d_and_chi = MotilityModel.d_and_chi
+
+    def counted(self, v, out=None):
+        calls.append(np.shape(v))
+        return d_and_chi(self, v, out)
+
+    monkeypatch.setattr(MotilityModel, "d_and_chi", counted)
+    rep = check_hypotheses(KINETICS["rm"][0], MotilityModel.d1(), 4.0, 400)
+    assert rep.h1.status is HypothesisStatus.HOLDS
+    assert calls == [(400,)]

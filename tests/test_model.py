@@ -475,3 +475,25 @@ class TestValidation:
     def test_constant_motility_validation(self):
         with pytest.raises(ValueError):
             MotilityModel.constant(0.0)
+
+    @pytest.mark.parametrize("key", ["gamma", "theta", "alpha", "mu", "K", "lam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_kinetics_rejects_non_finite_parameters(self, key, value):
+        with pytest.raises(ValueError):
+            rm(**{key: value})
+        if key != "lam":
+            z = zero_kinetics()
+            args = {k: getattr(z, k) for k in ("gamma", "theta", "alpha", "mu", "K")}
+            with pytest.raises(ValueError):
+                KineticsModel.custom(
+                    **{**args, key: value}, F=z.F_eval, F_prime=z.Fp_eval,
+                    f=z.f_eval, f_prime=z.fp_eval,
+                )
+
+    @pytest.mark.parametrize(
+        "d_const, chi_const",
+        [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)],
+    )
+    def test_constant_motility_rejects_non_finite(self, d_const, chi_const):
+        with pytest.raises(ValueError):
+            MotilityModel.constant(d_const, chi_const)

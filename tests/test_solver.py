@@ -377,6 +377,23 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid1D(1.0, 4)
 
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, -math.inf])
+    def test_grid_rejects_non_finite_length(self, ell):
+        with pytest.raises(ValueError):
+            Grid1D(ell, 16)
+
+    @pytest.mark.parametrize("epsilon, seed", [(math.nan, 0), (math.inf, 0), (0.01, -1)])
+    def test_perturbation_rejects_bad_input(self, epsilon, seed):
+        with pytest.raises(ValueError):
+            Perturbation(epsilon, seed)
+
+    @pytest.mark.parametrize(
+        "over", [{"t_end": math.nan}, {"t_end": math.inf}, {"D": math.nan}, {"D": math.inf}]
+    )
+    def test_config_rejects_non_finite_input(self, over):
+        with pytest.raises(ValueError):
+            cp_config(**over)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             cp_config(t_end=-1.0)
