@@ -66,12 +66,13 @@ def _operands(*values):
 _ZERO, _ONE, _CAP = _operands(0.0, 1.0, _EXP_CAP)
 
 
-def _allocating(method, v):
-    """``method(v, out=...)`` into a new float array shaped like ``v``;
-    scalar ``v`` gives a Python float."""
-    v = np.asarray(v, dtype=float)
-    out = method(v, out=np.empty(v.shape))
-    return float(out) if out.ndim == 0 else out
+def _allocating(formula, v):
+    """``formula(v, None)``, whose ufuncs then allocate their results:
+    array ``v`` is taken as a float array, and scalar ``v`` gives a Python
+    float."""
+    v = float(v) if isinstance(v, (int, float)) else np.asarray(v, dtype=float)
+    x = formula(v, None)
+    return float(x) if x.ndim == 0 else x
 
 
 class KineticsKind(Enum):
@@ -97,9 +98,9 @@ class KineticsModel:
     (``f`` needs a ``scratch`` array of the same kind for mu*v, or
     allocates one), and each element takes the operations of the closed
     forms above in their order; custom kinds evaluate as usual and copy
-    in.  Without ``out=`` the builtin kinds allocate the result and fill
-    it the same way, so each closed form is written once; scalar ``v``
-    gives a Python float.
+    in.  Without ``out=`` the builtin kinds run the same closed forms with
+    each ufunc allocating its result, so each closed form is written once;
+    scalar ``v`` is evaluated as a Python float and gives one.
     """
 
     kind: KineticsKind
@@ -153,8 +154,11 @@ class KineticsModel:
 
     @cached_property
     def _rate_operands(self):
-        """(gamma, theta, alpha) as ufunc operands for ``reaction``."""
-        return _operands(self.gamma, self.theta, self.alpha)
+        """(gamma, theta, alpha) as ufunc operands for ``reaction``; alpha
+        is None when it is +0.0, whose term ``reaction`` leaves out."""
+        gamma, theta, alpha = _operands(self.gamma, self.theta, self.alpha)
+        plus_zero = self.alpha == 0.0 and math.copysign(1.0, self.alpha) > 0.0
+        return gamma, theta, None if plus_zero else alpha
 
     @cached_property
     def _shape_operands(self):
@@ -170,12 +174,15 @@ class KineticsModel:
             np.copyto(out, self.F_eval(v))
             return out
         if out is None:
-            return _allocating(self.F, v)
+            return _allocating(self._F_closed, v)
+        return self._F_closed(v, out)
+
+    def _F_closed(self, v, out):
+        # out is None or the caller's buffer; every ufunc writes there
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
-            return np.add(v, _ZERO, out=out)
+            return np.add(v, _ZERO, out)
         lam = self._shape_operands[2]
-        np.add(lam, v, out=out)
-        return np.divide(v, out, out=out)
+        return np.divide(v, np.add(lam, v, out), out)
 
     def F_prime(self, v):
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
@@ -191,13 +198,14 @@ class KineticsModel:
             np.copyto(out, self.f_eval(v))
             return out
         if out is None:
-            return _allocating(self.f, v)
+            return _allocating(self._f_closed, v)
+        return self._f_closed(v, out, scratch)
+
+    def _f_closed(self, v, out, scratch=None):
+        # scratch receives mu*v and out (1 - v/K); None lets the ufunc allocate
         mu, K, _ = self._shape_operands
-        # scratch holds mu*v and out (1 - v/K)
-        scratch = np.multiply(mu, v, out=scratch)
-        np.divide(v, K, out=out)
-        np.subtract(_ONE, out, out=out)
-        return np.multiply(scratch, out, out=out)
+        scratch = np.multiply(mu, v, scratch)
+        return np.multiply(scratch, np.subtract(_ONE, np.divide(v, K, out), out), out)
 
     def f_prime(self, v):
         if self.kind is KineticsKind.CUSTOM:
@@ -270,6 +278,11 @@ class MotilityModel:
                 if getattr(self, name) is None:
                     raise ValueError(f"custom motility requires {name}")
 
+    @cached_property
+    def _logistic_operands(self):
+        """(m, r) of a builtin kind, None otherwise; looked up once."""
+        return _LOGISTIC_OPERANDS.get(self.kind)
+
     @staticmethod
     def d1() -> "MotilityModel":
         return MotilityModel(MotilityKind.D1)
@@ -320,7 +333,7 @@ class MotilityModel:
         constant kinds then allocate nothing, while custom kinds evaluate
         as usual and copy into it.
         """
-        params = _LOGISTIC_OPERANDS.get(self.kind)
+        params = self._logistic_operands
         if params is None:
             if self.kind is MotilityKind.CUSTOM:
                 d, chi = self.d_eval(v), self.chi_eval(v)
@@ -335,20 +348,23 @@ class MotilityModel:
             np.copyto(out[1], chi)
             return out
         m, r = params
-        v = np.asarray(v, dtype=float)
-        d, chi = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
+        if out is None:
+            v = np.asarray(v, dtype=float)
+            d, chi = np.empty(v.shape), np.empty(v.shape)
+        else:
+            d, chi = out
         # chi holds w = exp(min(r*(v - 1), cap)) and d holds s = m + w
-        np.subtract(v, _ONE, out=chi)
-        np.multiply(r, chi, out=chi)
+        np.subtract(v, _ONE, chi)
+        np.multiply(r, chi, chi)
         np.minimum(chi, _CAP, out=chi)
-        np.exp(chi, out=chi)
-        np.add(m, chi, out=d)
+        np.exp(chi, chi)
+        np.add(m, chi, d)
         # chi = -d' = r*w/(m+w)^2 as r*(sqrt(w)/s)**2; -(-r*x) == r*x exactly
-        np.sqrt(chi, out=chi)
-        np.divide(chi, d, out=chi)
-        np.multiply(chi, chi, out=chi)
-        np.multiply(r, chi, out=chi)
-        np.divide(_ONE, d, out=d)
+        np.sqrt(chi, chi)
+        np.divide(chi, d, chi)
+        np.multiply(chi, chi, chi)
+        np.multiply(r, chi, chi)
+        np.divide(_ONE, d, d)
         if out is None and v.ndim == 0:
             return float(d), float(chi)
         return d, chi
@@ -412,17 +428,20 @@ def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None, scratch
     du, dv = out
     gamma, theta, alpha = kin._rate_operands
     Fv = np.empty_like(du) if scratch is None else scratch  # F(v), later scratch
-    kin.f(v, out=dv, scratch=du)  # du is free until u*F(v)
-    kin.F(v, out=Fv)
-    np.multiply(u, Fv, out=du)
+    kin.f(v, dv, du)  # du is free until u*F(v)
+    kin.F(v, Fv)
+    np.multiply(u, Fv, du)
     dv -= du
-    np.multiply(gamma, u, out=du)
+    np.multiply(gamma, u, du)
     du *= Fv
-    np.multiply(theta, u, out=Fv)
+    np.multiply(theta, u, Fv)
     du -= Fv
-    np.multiply(alpha, u, out=Fv)
-    Fv *= u
-    du -= Fv
+    # alpha = +0.0 makes alpha*u*u +0.0 for finite u, and x - (+0.0) is x
+    # to the bit; a non-finite u has already made du NaN
+    if alpha is not None:
+        np.multiply(alpha, u, Fv)
+        Fv *= u
+        du -= Fv
     return du, dv
 
 

@@ -19,8 +19,12 @@ sums and differences, the three stage builds and the k1 + 2k2 + 2k3 + k4
 sum each take one NumPy call for both fields, and every call writes into
 a workspace buffer: the kinetics' F(v) and f(v) too, through ``reaction``
 and its scratch, so a right-hand side with builtin kinetics allocates
-nothing.  ``stable_dt`` runs in the same workspace, in buffers of its
-own.  h, D, 0.5 and 2.0 are held as 0-d arrays, which NumPy takes
+nothing.  A step copies its start state into the workspace once and
+evaluates k1 there in place; its 0.5*dt, dt and dt/6 are set only when
+dt changes, once per output interval in ``integrate``; and it returns the
+new state as one new (2, n) array, which ``integrate`` checks with one
+max and one min.  ``stable_dt`` runs in the same workspace, in buffers
+of its own.  h, D, 0.5 and 2.0 are held as 0-d arrays, which NumPy takes
 without the per-call conversion of a Python float.  At 256 cells a step
 is bound by NumPy's per-call cost, not by arithmetic, so fewer and
 cheaper calls make it faster; every element still takes the operations
@@ -272,23 +276,25 @@ class _Workspace:
         n = cfg.grid.n_cells
         self.kin, self.mot = cfg.kin, cfg.mot
         self.h, self.D, self.half, self.two = _operands(cfg.grid.h, cfg.D, 0.5, 2.0)
-        # the step's 0.5*dt, dt and dt/6, set on every step
+        # 0.5*dt, dt and dt/6 of the step size ``dt``, set when it changes
+        self.dt = None
         self.c_half, self.c_full, self.c_sixth = np.empty(()), np.empty(()), np.empty(())
         self.y0, self.y, self.dy, self.acc, self.tmp = np.empty((5, 2, n))
         self.u0, self.v0 = self.y0
         self.u, self.v = self.y
-        self.acc_u, self.acc_v = self.acc
+        self.y0_r, self.y0_l = self.y0[:, 1:], self.y0[:, :-1]
         self.y_r, self.y_l = self.y[:, 1:], self.y[:, :-1]
         # face sums hold (uf, vf) and face differences (du/h, dv/h)
         self.face_sum, self.face_diff = np.empty((2, 2, n - 1))
         self.uf, self.vf = self.face_sum
         self.dudx, self.dvdx = self.face_diff
         self.d, self.chi, self.taxis = np.empty((3, n - 1))
+        self.d_chi = (self.d, self.chi)
         flux = _padded_flux(2, n)
         self.flux_u, self.flux_v = flux[:, 1:-1]
         self.flux_r, self.flux_l = flux[:, 1:], flux[:, :-1]
         self.react = np.empty((2, n))
-        self.ru, self.rv = self.react
+        self.ru_rv = tuple(self.react)
         self.Fv = np.empty(n)  # reaction's F(v) scratch
         # stable_dt: the motility input holds the n cells, then the n - 1
         # faces; dt_d and dt_chi receive d and chi there, and speed is the
@@ -303,33 +309,39 @@ def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(du/dt, dv/dt) stacked in the workspace's ``dy``: divergence of the
     fluxes in the module docstring plus the reaction terms.
 
-    ``u`` and ``v`` are copied into the workspace unless they are its own
-    rows ``u`` and ``v``.  The result is overwritten by the next call on
-    the same config.  Every element takes the operations of the plain
+    The workspace's rows ``u0`` and ``v0`` (the step's start state) and
+    ``u`` and ``v`` are read in place; other arrays are copied into ``u``
+    and ``v`` first.  The result is overwritten by the next call on the
+    same config.  Every element takes the operations of the plain
     expressions in their order, so the result is the same to the last bit.
     """
     ws = cfg._workspace
-    if u is not ws.u:
-        ws.u[...] = u
-    if v is not ws.v:
-        ws.v[...] = v
-    h = ws.h
-    np.add(ws.y_r, ws.y_l, out=ws.face_sum)
-    np.multiply(ws.face_sum, ws.half, out=ws.face_sum)
-    np.subtract(ws.y_r, ws.y_l, out=ws.face_diff)
-    np.divide(ws.face_diff, h, out=ws.face_diff)
-    d, chi = ws.mot.d_and_chi(ws.vf, out=(ws.d, ws.chi))
+    if u is ws.u0 and v is ws.v0:
+        y_r, y_l = ws.y0_r, ws.y0_l
+    else:
+        if u is not ws.u:
+            ws.u[...] = u
+        if v is not ws.v:
+            ws.v[...] = v
+        u, v, y_r, y_l = ws.u, ws.v, ws.y_r, ws.y_l
+    h, face_sum, face_diff = ws.h, ws.face_sum, ws.face_diff
+    flux_u, taxis, dy = ws.flux_u, ws.taxis, ws.dy
+    np.add(y_r, y_l, face_sum)
+    np.multiply(face_sum, ws.half, face_sum)
+    np.subtract(y_r, y_l, face_diff)
+    np.divide(face_diff, h, face_diff)
+    d, chi = ws.mot.d_and_chi(ws.vf, ws.d_chi)
     # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
-    np.multiply(ws.dudx, d, out=ws.flux_u)
-    np.multiply(ws.uf, chi, out=ws.taxis)
-    np.multiply(ws.taxis, ws.dvdx, out=ws.taxis)
-    np.subtract(ws.flux_u, ws.taxis, out=ws.flux_u)
-    np.multiply(ws.D, ws.dvdx, out=ws.flux_v)
-    np.subtract(ws.flux_r, ws.flux_l, out=ws.dy)
-    np.divide(ws.dy, h, out=ws.dy)
-    reaction(ws.kin, ws.u, ws.v, out=(ws.ru, ws.rv), scratch=ws.Fv)
-    np.add(ws.dy, ws.react, out=ws.dy)
-    return ws.dy
+    np.multiply(ws.dudx, d, flux_u)
+    np.multiply(ws.uf, chi, taxis)
+    np.multiply(taxis, ws.dvdx, taxis)
+    np.subtract(flux_u, taxis, flux_u)
+    np.multiply(ws.D, ws.dvdx, ws.flux_v)
+    np.subtract(ws.flux_r, ws.flux_l, dy)
+    np.divide(dy, h, dy)
+    reaction(ws.kin, u, v, ws.ru_rv, ws.Fv)
+    np.add(dy, ws.react, dy)
+    return dy
 
 
 def rhs(state: State, cfg: SolverConfig):
@@ -368,39 +380,48 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     return cfg.cfl_safety * min(dt_diff, dt_adv)
 
 
-def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float):
-    """One classic RK4 step; returns new arrays (u, v).
+def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """One classic RK4 step; returns the new state as one (2, n) array,
+    which callers unpack as ``u, v``.
 
-    The stages run in the config's workspace, each stage build and the
-    k1 + 2k2 + 2k3 + k4 sum one call for both fields, with the operation
-    order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).
+    The stages run in the config's workspace.  The start state is copied
+    into ``y0`` once and k1 is evaluated on it in place.  Each stage build
+    and the k1 + 2k2 + 2k3 + k4 sum take one call for both fields, with
+    the operation order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u +
+    2*k3u + k4u).  0.5*dt, dt and dt/6 are refilled only when ``dt`` is not
+    the object the last step was given; ``integrate`` gives one object to
+    every step of an output interval.  ``_rhs_arrays`` is looked up at
+    call time, and a ``(du, dv)`` pair from it is taken as well as a
+    stacked array.
     """
     ws = cfg._workspace
-    y0, y, acc, tmp = ws.y0, ws.y, ws.acc, ws.tmp
-    ws.c_half[...] = 0.5 * dt
-    ws.c_full[...] = dt
-    ws.c_sixth[...] = dt / 6.0
-    ws.u[...] = u
-    ws.v[...] = v
-    np.copyto(y0, y)
-    k = _rhs_arrays(cfg, ws.u, ws.v)  # k1
+    y0, y, acc, tmp, two = ws.y0, ws.y, ws.acc, ws.tmp, ws.two
+    if dt is not ws.dt:
+        ws.dt = dt
+        ws.c_half[...] = 0.5 * dt
+        ws.c_full[...] = dt
+        ws.c_sixth[...] = dt / 6.0
+    c_half = ws.c_half
+    ws.u0[...] = u
+    ws.v0[...] = v
+    k = _rhs_arrays(cfg, ws.u0, ws.v0)  # k1
     np.copyto(acc, k)
-    np.multiply(ws.c_half, k, out=y)
-    np.add(y0, y, out=y)
+    np.multiply(c_half, k, y)
+    np.add(y0, y, y)
     k = _rhs_arrays(cfg, ws.u, ws.v)  # k2
-    np.multiply(ws.two, k, out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.multiply(ws.c_half, k, out=y)
-    np.add(y0, y, out=y)
+    np.multiply(two, k, tmp)
+    np.add(acc, tmp, acc)
+    np.multiply(c_half, k, y)
+    np.add(y0, y, y)
     k = _rhs_arrays(cfg, ws.u, ws.v)  # k3
-    np.multiply(ws.two, k, out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.multiply(ws.c_full, k, out=y)
-    np.add(y0, y, out=y)
+    np.multiply(two, k, tmp)
+    np.add(acc, tmp, acc)
+    np.multiply(ws.c_full, k, y)
+    np.add(y0, y, y)
     k = _rhs_arrays(cfg, ws.u, ws.v)  # k4
-    np.add(acc, k, out=acc)
-    np.multiply(ws.c_sixth, acc, out=acc)
-    return np.add(ws.u0, ws.acc_u), np.add(ws.v0, ws.acc_v)
+    np.add(acc, k, acc)
+    np.multiply(ws.c_sixth, acc, acc)
+    return np.add(y0, acc)
 
 
 def _solve_diffusion(q: np.ndarray, coef_face: np.ndarray, h: float, dt: float):
@@ -596,16 +617,14 @@ def integrate(cfg: SolverConfig) -> Trajectory:
         n_sub = max(1, math.ceil((t_next - t) / dt_cfl))
         dt = (t_next - t) / n_sub
         for i in range(n_sub):
-            u, v = step(cfg, u, v, dt)
+            # imex_step, and a wrapper bound over rk4_step, may return a (u, v) pair
+            y = np.asarray(step(cfg, u, v, dt))
+            u, v = y
             # max and min propagate NaN, which fails every comparison, and
-            # +-inf fail the limits: four reductions catch every non-finite
-            # value.  _guard_error works out which guard tripped.
-            if not (
-                u.max() <= BLOWUP_LIMIT
-                and v.max() <= BLOWUP_LIMIT
-                and u.min() >= NEGATIVITY_LIMIT
-                and v.min() >= NEGATIVITY_LIMIT
-            ):
+            # +-inf fail the limits: two reductions over both fields catch
+            # every non-finite value.  _guard_error works out which guard
+            # tripped.
+            if not (y.max() <= BLOWUP_LIMIT and y.min() >= NEGATIVITY_LIMIT):
                 raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
         t = t_next
         if in_series[idx]:

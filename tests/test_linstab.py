@@ -303,6 +303,21 @@ class TestUnstableModes:
         ]
         assert steady == expected
 
+    def test_case2_band_races_the_homogeneous_mode(self):
+        # the README's case 2 numbers: the band's fastest mode grows at
+        # 0.0626, at n = 31, barely faster than the n = 0 rate 1/16
+        sys = linearize(CP_KIN, D2, 1.0 / 4800.0, CP_CO)
+        ell = 4 * math.pi
+
+        def rate(n):
+            return max(r.real for r in dispersion(sys, n * math.pi / ell).rho)
+
+        n_fast = max(range(12, 82), key=rate)
+        assert rate(n_fast) == pytest.approx(0.06260, abs=1e-5)
+        assert abs(n_fast - 31) <= 1
+        assert rate(0) == pytest.approx(0.0625, abs=1e-12)
+        assert 0.0 < rate(n_fast) - rate(0) < 2e-4
+
     def test_classification_stable_under_longer_scan(self):
         for mot, D, ell in ((D1, 0.1, 8 * math.pi), (D2, 1 / 4800, 4 * math.pi)):
             base = unstable_modes(CP_KIN, mot, D, CP_CO, ell)

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,55 @@ class TestKineticsOut:
             assert same_bits(kin.F(np.array([x]), out=out), [F])
             assert same_bits(kin.f(np.array([x]), out=out, scratch=np.empty(1)), [f])
 
+    # F(x) and f(x) at x = 0, 0.7, 2.5 and the coexistence state (u, v),
+    # as float.hex, from the release before the scalar path let the
+    # closed forms' ufuncs allocate
+    STORED = {
+        "lv": (
+            [("0x0.0p+0", "0x0.0p+0"), ("0x1.6666666666666p-1", "0x1.27ae147ae147ap-1"),
+             ("0x1.4000000000000p+1", "0x1.e000000000000p-1")],
+            ("0x1.c000000000000p-1", "0x1.0000000000000p-1"),
+        ),
+        "rm": (
+            [("0x0.0p+0", "0x0.0p+0"), ("0x1.a5a5a5a5a5a5ap-2", "0x1.27ae147ae147ap-1"),
+             ("0x1.6db6db6db6db7p-1", "0x1.e000000000000p-1")],
+            ("0x1.8000000000000p+0", "0x1.0000000000000p+0"),
+        ),
+        "rm-alpha": (
+            [("0x0.0p+0", "0x0.0p+0"), ("0x1.a5a5a5a5a5a5ap-2", "0x1.27ae147ae147ap-1"),
+             ("0x1.6db6db6db6db7p-1", "0x1.e000000000000p-1")],
+            ("0x1.5d8f4fbfe6ea3p+0", "0x1.31a24e8d2022fp+1"),
+        ),
+    }
+    SCALAR_KIN = {
+        "lv": lambda: KineticsModel.lotka_volterra(2.0, 1.0, 0.0, 1.0, 4.0),
+        "rm": lambda: rm(),
+        "rm-alpha": lambda: rm(alpha=0.3),
+    }
+
+    @pytest.mark.parametrize("name", ["lv", "rm", "rm-alpha"])
+    def test_scalar_calls_match_the_array_path_and_stored_values(self, name, monkeypatch):
+        from preytaxis_lab import model
+
+        kin = self.SCALAR_KIN[name]()
+        values, (u_star, v_star) = self.STORED[name]
+        for x, (F_hex, f_hex) in zip((0.0, 0.7, 2.5), values):
+            F, f = kin.F(x), kin.f(x)
+            assert type(F) is float and F == float.fromhex(F_hex)
+            assert type(f) is float and f == float.fromhex(f_hex)
+            out = np.empty(1)
+            assert same_bits(kin.F(np.array([x]), out=out), [F])
+            assert same_bits(kin.f(np.array([x]), out=out), [f])
+        co = compute_equilibria(kin).coexistence
+        assert (co.u, co.v) == (float.fromhex(u_star), float.fromhex(v_star))
+
+        def through_out(formula, v):
+            # every scalar F and f evaluated on a one-cell buffer
+            return float(formula(np.array([v], dtype=float), np.empty(1))[0])
+
+        monkeypatch.setattr(model, "_allocating", through_out)
+        assert compute_equilibria(kin).coexistence == co
+
     def test_custom_kinds_copy_their_evaluators(self):
         # evaluators that return Python scalars whatever v is
         flat = KineticsModel.custom(
@@ -160,6 +210,18 @@ class TestKineticsOut:
         du, dv = reaction(kin, u, v, out=out, scratch=scratch)
         assert du is out[0] and dv is out[1]
         assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
+
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0])
+    def test_zero_alpha_of_either_sign_keeps_the_expression_bits(self, alpha):
+        # u = +0 and v = -0 make gamma*u*F(v) - theta*u -0.0, and only a
+        # -0.0 alpha term turns that into +0.0
+        kin = rm(alpha=alpha)
+        u = np.array([0.0, -0.0, 0.0, 1.5, 2.0])
+        v = np.array([-0.0, -0.0, 0.3, 2.0, 1e-300])
+        du, _ = reaction(kin, u, v, out=(np.empty(5), np.empty(5)), scratch=np.empty(5))
+        assert same_bits(du, kin.gamma * u * kin.F(v) - kin.theta * u - kin.alpha * u * u)
+        assert (math.copysign(1.0, du[0]) > 0.0) == (math.copysign(1.0, alpha) < 0.0)
 
 
 class TestEquilibria:

@@ -671,6 +671,26 @@ class TestStableDtInTheWorkspace:
             tracemalloc.stop()
         assert peak < 8 * n / 4  # far below one array of n floats
 
+    def test_rk4_step_allocates_only_its_result(self):
+        import tracemalloc
+
+        n = 4096
+        cfg = cp_config(
+            grid=Grid1D(8 * math.pi, n),
+            base_state=(np.full(n, CP_CO.u), np.full(n, CP_CO.v)),
+            perturbation=Perturbation(0.2, 1),
+        )
+        st = init_state(cfg)
+        dt = stable_dt(st, cfg)  # builds the workspace
+        tracemalloc.start()
+        try:
+            y = rk4_step(cfg, st.u, st.v, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (2, n)
+        assert peak < 1.25 * 16 * n  # the (2, n) result and nothing cell-sized besides
+
 
 def _injecting(monkeypatch, at_step, field, cell, value):
     """Rebind solver.rk4_step so that the given step's result carries
@@ -725,6 +745,56 @@ class TestStepGuard:
         assert (err.guard, err.field, err.cell, err.value) == ("negativity", "v", 21, -1e-3)
         assert err.t == pytest.approx(sum(calls), rel=1e-12)
         assert "negativity guard tripped by v[21]" in str(err)
+
+
+class TestLookupAtCallTime:
+    """integrate looks up rk4_step and stable_dt, and rk4_step looks up
+    _rhs_arrays, in the solver module at call time, so wrappers bound there
+    by name see every call; wrappers may return (u, v) and (du, dv) pairs
+    where the program returns stacked arrays."""
+
+    def test_pair_returning_wrappers_leave_integrate_bit_identical(self, monkeypatch):
+        cfg = cp_config(
+            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.2, 1)
+        )
+        expected = integrate(dataclasses.replace(cfg))
+        rhs_arrays, step, step_size = solver._rhs_arrays, solver.rk4_step, solver.stable_dt
+        calls = {"rhs": 0, "step": 0, "dt": []}
+
+        def rhs_pair(cfg, u, v):
+            calls["rhs"] += 1
+            du, dv = rhs_arrays(cfg, u, v)
+            return du * 1.0, dv * 1.0
+
+        def step_pair(cfg, u, v, dt):
+            calls["step"] += 1
+            u, v = step(cfg, u, v, dt)
+            return u, v
+
+        def counted_stable_dt(state, cfg):
+            dt = step_size(state, cfg)
+            calls["dt"].append((state.t, dt))
+            return dt
+
+        monkeypatch.setattr(solver, "_rhs_arrays", rhs_pair)
+        monkeypatch.setattr(solver, "rk4_step", step_pair)
+        monkeypatch.setattr(solver, "stable_dt", counted_stable_dt)
+        traj = integrate(cfg)
+        for got, ref in zip(traj.snapshots, expected.snapshots, strict=True):
+            assert got.t == ref.t and np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+        _assert_series_equal(traj.series, vars(expected.series))
+        # one stable_dt per output interval, ceil(interval / dt) steps in
+        # it and four right-hand sides per step
+        events = np.union1d(
+            np.linspace(0.0, cfg.t_end, cfg.series_count),
+            np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
+        )
+        assert [t for t, _ in calls["dt"]] == list(events[:-1])
+        n_steps = sum(
+            max(1, math.ceil((t_next - t) / dt)) for (t, dt), t_next in zip(calls["dt"], events[1:])
+        )
+        assert n_steps > len(calls["dt"])
+        assert calls["step"] == n_steps and calls["rhs"] == 4 * n_steps
 
 
 class TestGuardErrorDetail:
