@@ -54,6 +54,7 @@ from .linstab import (
 )
 from .model import (
     KineticsModel,
+    MotilityKind,
     MotilityModel,
     Regime,
     compute_equilibria,
@@ -171,7 +172,7 @@ class RunConfig:
     K: float = _key("model", "K", _finite, "4")
     lam: float = _key("model", "lambda", _finite, "1")
     mot_kind: str = _key(
-        "motility", "kind", _choice("d1", "d2", "d3", "constant"), "d1"
+        "motility", "kind", _choice(*(k.value for k in MotilityKind)), "d1"
     )
     d_const: float = _key("motility", "d_const", _finite, "1")
     chi_const: float = _key("motility", "chi_const", _finite, "0")
@@ -272,10 +273,7 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
             kin = KineticsModel.rosenzweig_macarthur(
                 rc.gamma, rc.theta, rc.mu, rc.K, rc.lam, rc.alpha
             )
-        if rc.mot_kind in ("d1", "d2", "d3"):
-            mot = getattr(MotilityModel, rc.mot_kind)()
-        else:
-            mot = MotilityModel.constant(rc.d_const, rc.chi_const)
+        mot = MotilityModel(MotilityKind(rc.mot_kind), rc.d_const, rc.chi_const)
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
     for f in fields(rc):

@@ -187,8 +187,9 @@ class PatternClass:
     """Regime classification from tail-window statistics of a trajectory.
 
     Two booleans drive the label (spatial inhomogeneity of u, temporal
-    oscillation of predator mass); the periodicity flag refines the
-    spatio-temporal class via the tail autocorrelation of the mass.
+    oscillation of predator mass: a tail range above 1% of its mean and at
+    least two turns); the periodicity flag, set only for an oscillatory
+    tail, refines the class via the tail autocorrelation of the mass.
     """
 
     label: PatternLabel
@@ -232,9 +233,13 @@ def classify_pattern(traj: "Trajectory", tail_fraction: float = 0.2) -> PatternC
     inhomog = tail_std > SPATIAL_STD_THRESHOLD
     ptp = float(mass_tail.max() - mass_tail.min())
     mean_mass = abs(float(np.mean(mass_tail)))
-    oscillatory = ptp > OSCILLATION_THRESHOLD * mean_mass
+    # a monotone drift (a decay) also spans > 1% of its mean: the mass must
+    # turn, i.e. its nonzero steps must change sign at least twice
+    steps = np.sign(np.diff(mass_tail))
+    turns = int(np.count_nonzero(np.diff(steps[steps != 0])))
+    oscillatory = ptp > OSCILLATION_THRESHOLD * mean_mass and turns >= 2
     maxcorr = _max_lag_correlation(mass_tail - np.mean(mass_tail))
-    periodic = (not math.isnan(maxcorr)) and maxcorr >= PERIODICITY_THRESHOLD
+    periodic = oscillatory and maxcorr >= PERIODICITY_THRESHOLD  # False for a NaN maxcorr
     if inhomog and oscillatory:
         label = PatternLabel.SPATIO_TEMPORAL
     elif inhomog:

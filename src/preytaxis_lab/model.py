@@ -238,7 +238,6 @@ class MotilityKind(Enum):
     D2 = "d2"
     D3 = "d3"
     CONSTANT = "constant"
-    CUSTOM = "custom"
 
 
 # Builtin motilities d(v) = 1/(m + exp(r*(v-1))) with chi = -d', as 0-d
@@ -256,14 +255,12 @@ class MotilityModel:
 
     The builtin kinds d1, d2, d3 are decreasing logistic-type motilities
     with the taxis coefficient tied to the motility slope (chi = -d').
-    ``d_and_chi`` evaluates every kind; ``d``, ``chi`` and the builtin
-    kinds' ``d_prime`` read their values from it.
+    The constant kind has d = ``d_const`` and chi = ``chi_const``, which
+    the other kinds ignore.  ``d_and_chi`` evaluates every kind; ``d``,
+    ``chi`` and the builtin kinds' ``d_prime`` read their values from it.
     """
 
     kind: MotilityKind
-    d_eval: Callable | None = field(default=None, repr=False)
-    dp_eval: Callable | None = field(default=None, repr=False)
-    chi_eval: Callable | None = field(default=None, repr=False)
     d_const: float = 1.0
     chi_const: float = 0.0
 
@@ -273,14 +270,10 @@ class MotilityModel:
                 raise ValueError("constant motility must be positive and finite")
             if not math.isfinite(self.chi_const):
                 raise ValueError("constant taxis coefficient must be finite")
-        elif self.kind is MotilityKind.CUSTOM:
-            for name in ("d_eval", "dp_eval", "chi_eval"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"custom motility requires {name}")
 
     @cached_property
     def _logistic_operands(self):
-        """(m, r) of a builtin kind, None otherwise; looked up once."""
+        """(m, r) of a builtin kind, None for the constant kind; looked up once."""
         return _LOGISTIC_OPERANDS.get(self.kind)
 
     @staticmethod
@@ -301,49 +294,33 @@ class MotilityModel:
             MotilityKind.CONSTANT, d_const=d_const, chi_const=chi_const
         )
 
-    @staticmethod
-    def custom(d, d_prime, chi) -> "MotilityModel":
-        return MotilityModel(MotilityKind.CUSTOM, d_eval=d, dp_eval=d_prime, chi_eval=chi)
-
     def d(self, v):
-        if self.kind is MotilityKind.CUSTOM:
-            return self.d_eval(v)
         return self.d_and_chi(v)[0]
 
     def d_prime(self, v):
-        if self.kind is MotilityKind.CUSTOM:
-            return self.dp_eval(v)
         if self.kind is MotilityKind.CONSTANT:
             return 0.0 if np.ndim(v) == 0 else np.zeros_like(np.asarray(v, dtype=float))
         return -self.d_and_chi(v)[1]
 
     def chi(self, v):
-        if self.kind is MotilityKind.CUSTOM:
-            return self.chi_eval(v)
         return self.d_and_chi(v)[1]
 
     def d_and_chi(self, v, out=None):
         """(d(v), chi(v)): the one evaluator of every kind.
 
-        The builtin kinds share one exponential between the two, the
-        constant kind fills in its pair and custom kinds call ``d_eval``
-        and ``chi_eval``.  Scalar ``v`` gives Python floats for the
-        builtin and constant kinds.  ``out``, a pair of float arrays shaped
-        like ``v``, receives (d, chi) and is returned; the builtin and
-        constant kinds then allocate nothing, while custom kinds evaluate
-        as usual and copy into it.
+        The builtin kinds share one exponential between the two and the
+        constant kind fills in its pair.  Scalar ``v`` gives Python floats.
+        ``out``, a pair of float arrays shaped like ``v``, receives (d, chi)
+        and is returned; no kind then allocates.
         """
         params = self._logistic_operands
         if params is None:
-            if self.kind is MotilityKind.CUSTOM:
-                d, chi = self.d_eval(v), self.chi_eval(v)
-            else:
-                d, chi = self.d_const, self.chi_const
-                if out is None and np.ndim(v) != 0:
-                    v = np.asarray(v, dtype=float)
-                    d, chi = np.full_like(v, d), np.full_like(v, chi)
+            d, chi = self.d_const, self.chi_const
             if out is None:
-                return d, chi
+                if np.ndim(v) == 0:
+                    return d, chi
+                v = np.asarray(v, dtype=float)
+                return np.full_like(v, d), np.full_like(v, chi)
             np.copyto(out[0], d)
             np.copyto(out[1], chi)
             return out

@@ -367,7 +367,7 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     np.copyto(ws.v_cells, v)
     np.add(v_r, v_l, out=ws.v_faces)
     np.multiply(ws.half, ws.v_faces, out=ws.v_faces)
-    # out= buffers also take the scalars a custom motility may return
+    # out= buffers also take the constant kind's scalars
     cfg.mot.d_and_chi(ws.v_cf, out=(ws.dt_d, ws.dt_chi))
     d_max = float(ws.d_cells.max())
     w = np.subtract(v_r, v_l, out=ws.speed)

@@ -9,8 +9,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from preytaxis_lab.cli import RunConfig, build_models, load_config
+from preytaxis_lab.model import MotilityKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,6 +63,14 @@ class TestDefaults:
     def test_defaults_pass_every_range_check(self):
         kin, mot = build_models(RunConfig())
         assert kin.K == 4.0 and mot.kind.value == "d1"
+
+    def test_motility_kind_names_are_the_enum_values(self):
+        (parse,) = (f.metadata["parse"] for f in fields(RunConfig) if f.name == "mot_kind")
+        names = {k.value for k in MotilityKind}
+        assert {parse(name) for name in names} == names
+        with pytest.raises(ValueError) as err:
+            parse("no-such-kind")
+        assert str(err.value).endswith(str(sorted(names)))
 
     def test_instances_do_not_share_mutable_defaults(self):
         a, b = RunConfig(), RunConfig()

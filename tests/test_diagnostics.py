@@ -234,6 +234,15 @@ class TestClassifyPattern:
         assert pc.label is PatternLabel.HOMOGENEOUS_PERIODIC
         assert pc.periodic
 
+    def test_monotone_decay_is_homogeneous_stationary(self):
+        t = np.linspace(0, 100, 400)
+        series = flat_series(t, mass_u=3.0 * np.exp(-0.2 * t))
+        pc = classify_pattern(make_traj(series))
+        assert pc.oscillation_amplitude > 0.01 * float(np.mean(series.mass_u[-80:]))
+        assert pc.label is PatternLabel.HOMOGENEOUS_STATIONARY
+        assert not pc.temporally_oscillatory
+        assert not pc.periodic
+
     def test_frozen_profile_is_stationary_inhomogeneous(self):
         t = np.linspace(0, 100, 400)
         series = flat_series(

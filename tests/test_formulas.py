@@ -2,7 +2,7 @@
 evaluation per coefficient: the linearization, the beta coefficients, the
 dispersion relation and mode census, the hypothesis checks and the global
 stability threshold.  The builtin motility and kinetics formulas are written
-out in this file, and custom kinds use their own evaluators, so these pins
+out in this file, and custom kinetics use their own evaluators, so these pins
 hold however the library shares evaluations between coefficients."""
 
 import math
@@ -58,14 +58,6 @@ def constant(d0, c0):
     return evaluate
 
 
-def _decay(v):
-    return np.exp(-np.asarray(v, dtype=float))
-
-
-CUSTOM_D = lambda v: 0.5 + _decay(v)
-CUSTOM_DP = lambda v: -_decay(v)
-CUSTOM_CHI = lambda v: 2.0 * _decay(v)
-
 # name -> (model, reference (d, chi, d') evaluator)
 MOTILITIES = {
     "d1": (MotilityModel.d1(), logistic(1.0, 2.0)),
@@ -73,10 +65,6 @@ MOTILITIES = {
     "d3": (MotilityModel.d3(), logistic(9.0, 2.0)),
     "constant": (MotilityModel.constant(0.7, 0.3), constant(0.7, 0.3)),
     "constant-negative-chi": (MotilityModel.constant(1.0, -0.5), constant(1.0, -0.5)),
-    "custom": (
-        MotilityModel.custom(d=CUSTOM_D, d_prime=CUSTOM_DP, chi=CUSTOM_CHI),
-        lambda v: (CUSTOM_D(v), CUSTOM_CHI(v), CUSTOM_DP(v)),
-    ),
 }
 
 RM = KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.0, 4.0, 1.0)
@@ -295,7 +283,7 @@ def test_global_stability_report(kin_name, mot_name, v0_max):
     assert global_stability_report(kin, mot, 0.3, v0_max) == want
 
 
-def test_global_stability_report_evaluates_each_coefficient_once_on_the_grid():
+def test_global_stability_report_evaluates_each_coefficient_once_on_the_grid(monkeypatch):
     grid_calls = Counter()
 
     def counted(name, fn):
@@ -313,12 +301,17 @@ def test_global_stability_report_evaluates_each_coefficient_once_on_the_grid():
         f=RM_CUSTOM.f_eval,
         f_prime=RM_CUSTOM.fp_eval,
     )
-    mot = MotilityModel.custom(
-        d=counted("d", CUSTOM_D), d_prime=CUSTOM_DP, chi=counted("chi", CUSTOM_CHI)
-    )
-    rep = global_stability_report(kin, mot, 0.3, 4.0)
+    d_and_chi = MotilityModel.d_and_chi
+
+    def counted_d_and_chi(self, v, out=None):
+        if np.size(v) == 10_001:
+            grid_calls["d_and_chi"] += 1
+        return d_and_chi(self, v, out)
+
+    monkeypatch.setattr(MotilityModel, "d_and_chi", counted_d_and_chi)
+    rep = global_stability_report(kin, MotilityModel.d1(), 0.3, 4.0)
     assert rep.regime is Regime.COEXISTENCE and rep.D_min > 0.0
-    assert grid_calls == {"F": 1, "Fp": 1, "d": 1, "chi": 1}
+    assert grid_calls == {"F": 1, "Fp": 1, "d_and_chi": 1}
 
 
 def test_check_hypotheses_evaluates_builtin_motility_once(monkeypatch):

@@ -350,17 +350,6 @@ class TestCustomEvaluators:
         assert co_c.u == pytest.approx(co_b.u, abs=1e-10)
         assert co_c.v == pytest.approx(co_b.v, abs=1e-10)
 
-    def test_custom_motility_evaluators(self):
-        mot = MotilityModel.custom(
-            d=lambda v: np.exp(-np.asarray(v, dtype=float)),
-            d_prime=lambda v: -np.exp(-np.asarray(v, dtype=float)),
-            chi=lambda v: np.exp(-np.asarray(v, dtype=float)),
-        )
-        rep = check_hypotheses(rm(), mot, v_max=4.0, n_samples=400)
-        assert rep.h1.status is HypothesisStatus.HOLDS
-        v = np.linspace(0.0, 4.0, 50)
-        assert np.max(np.abs(mot.chi(v) + mot.d_prime(v))) == 0.0
-
 
 class TestMotilityIdentities:
     @pytest.mark.parametrize(

@@ -420,18 +420,11 @@ def _holling3():
     )
 
 
-CUSTOM_MOT = MotilityModel.custom(
-    d=lambda v: 1.0 / (1.0 + np.asarray(v, dtype=float) ** 2),
-    d_prime=lambda v: -2.0 * np.asarray(v, dtype=float) / (1.0 + np.asarray(v, dtype=float) ** 2) ** 2,
-    chi=lambda v: 0.3 / (1.0 + np.asarray(v, dtype=float)),
-)
-
 MOTILITIES = {
     "d1": D1,
     "d2": MotilityModel.d2(),
     "d3": MotilityModel.d3(),
     "constant": MotilityModel.constant(0.2, chi_const=0.4),
-    "custom": CUSTOM_MOT,
 }
 
 KINETICS = {
@@ -528,26 +521,6 @@ class TestFusedKernel:
         assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
         assert np.max(np.abs(u - st.u)) > 1e-6
 
-    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
-    def test_scalar_valued_custom_motility(self, kin_name):
-        mot = MotilityModel.custom(lambda v: 0.3, lambda v: 0.0, lambda v: 0.4)
-        cfg = cp_config(
-            kin=KINETICS[kin_name](),
-            mot=mot,
-            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
-            perturbation=Perturbation(0.2, 3),
-        )
-        st = init_state(cfg)
-        dt = reference_stable_dt(st, cfg)
-        assert stable_dt(st, cfg) == dt
-        u, v = u_ref, v_ref = st.u, st.v
-        for _ in range(20):
-            u, v = rk4_step(cfg, u, v, dt)
-            u_ref, v_ref = reference_rk4_step(cfg, u_ref, v_ref, dt)
-        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
-        later = State(0.0, u, v)
-        assert stable_dt(later, cfg) == reference_stable_dt(later, cfg)
-
 
 class TestWorkspace:
     """The RK4 workspace is scratch: nothing a caller holds may alias it,
@@ -622,11 +595,7 @@ class TestStableDtInTheWorkspace:
     """stable_dt shares the config's workspace with rhs and rk4_step: calls
     interleaved on one config give what separate configs give."""
 
-    @pytest.mark.parametrize(
-        "mot",
-        [*MOTILITIES.values(), MotilityModel.custom(lambda v: 0.3, lambda v: 0.0, lambda v: 0.4)],
-        ids=[*MOTILITIES, "scalar_custom"],
-    )
+    @pytest.mark.parametrize("mot", list(MOTILITIES.values()), ids=list(MOTILITIES))
     def test_interleaved_calls_match_separate_configs(self, mot):
         cfg = cp_config(mot=mot, perturbation=Perturbation(0.2, 1))
         steps_only, dt_only, rhs_only = (dataclasses.replace(cfg) for _ in range(3))
