@@ -197,7 +197,6 @@ class PatternClass:
     temporally_oscillatory: bool
     periodic: bool
     tail_spatial_std: float
-    final_spatial_std: float
     oscillation_amplitude: float
     max_autocorrelation: float
 
@@ -248,16 +247,7 @@ def classify_pattern(traj: "Trajectory", tail_fraction: float = 0.2) -> PatternC
         label = PatternLabel.HOMOGENEOUS_PERIODIC
     else:
         label = PatternLabel.HOMOGENEOUS_STATIONARY
-    return PatternClass(
-        label,
-        inhomog,
-        oscillatory,
-        periodic,
-        tail_std,
-        float(s.std_u[-1]),
-        ptp,
-        maxcorr,
-    )
+    return PatternClass(label, inhomog, oscillatory, periodic, tail_std, ptp, maxcorr)
 
 
 class DecayVerdict(Enum):

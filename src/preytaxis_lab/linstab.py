@@ -6,13 +6,15 @@ the reaction Jacobian.  Temporal eigenvalues rho solve
 
     rho^2 + a(D, k^2) rho + b(D, k^2) = 0,
 
-with a = -trace(M_k) and b = det(M_k).  For the Rosenzweig-MacArthur
-interaction without predator competition these coefficients reduce to
+with a = -trace(M_k) and b = det(M_k), that is
 
     a = (d* + D) k^2 - beta1,
-    b = d* D k^4 - beta2 k^2 + beta3,
+    b = d* D k^4 - beta2 k^2 + beta3.
 
-which drives the bifurcation curves and instability-band computations.
+`LinearizedSystem.coefficients` (from the Jacobian, at any steady state) and
+`beta_coefficients` (closed form, at the Rosenzweig-MacArthur coexistence
+state without predator competition) give the same `BetaCoefficients` triple.
+One root finder gives its k^2 bands, where b or a^2 - 4b is negative.
 """
 
 from __future__ import annotations
@@ -80,13 +82,15 @@ class LinearizedSystem:
         return -float(self.A[0, 1])
 
     @cached_property
-    def coefficients(self) -> tuple[float, float, float]:
-        """(trace B, c1, det B) with c1 = d* B4 + taxis B3 + B1 D, so that
-        a = (d* + D) k^2 - trace B and b = d* D k^4 - c1 k^2 + det B."""
+    def coefficients(self) -> BetaCoefficients:
+        """(trace B, d* B4 + taxis B3 + B1 D, det B): the triple that
+        `beta_coefficients` gives in closed form, from the Jacobian."""
         d, D = self.d_star, self.D
         B1, B2 = float(self.B[0, 0]), float(self.B[0, 1])
         B3, B4 = float(self.B[1, 0]), float(self.B[1, 1])
-        return B1 + B4, d * B4 + self.taxis * B3 + B1 * D, B1 * B4 - B2 * B3
+        return BetaCoefficients(
+            B1 + B4, d * B4 + self.taxis * B3 + B1 * D, B1 * B4 - B2 * B3
+        )
 
     def M(self, k: float) -> np.ndarray:
         return -(k * k) * self.A + self.B
@@ -147,11 +151,10 @@ def dispersion(sys: LinearizedSystem, k: float) -> DispersionPoint:
     """Eigenvalue pair and instability class at wavenumber k >= 0."""
     if k < 0:
         raise ValueError("wavenumber must be >= 0")
-    d, D = sys.d_star, sys.D
-    trace, c1, det = sys.coefficients
+    d, D, coef = sys.d_star, sys.D, sys.coefficients
     k2 = k * k
-    a = (d + D) * k2 - trace
-    b = d * D * k2 * k2 - c1 * k2 + det
+    a = coef.a(D, d, k2)
+    b = coef.b(D, d, k2)
     delta = a * a - 4.0 * b
     rho = _quadratic_roots(a, b, delta)
     max_re = max(rho[0].real, rho[1].real)
@@ -169,8 +172,9 @@ def dispersion(sys: LinearizedSystem, k: float) -> DispersionPoint:
 @dataclass(frozen=True)
 class BetaCoefficients:
     """Coefficients of a(D,k^2) = (d*+D)k^2 - beta1 and
-    b(D,k^2) = d*D k^4 - beta2 k^2 + beta3 at the coexistence state of the
-    Rosenzweig-MacArthur interaction without predator competition."""
+    b(D,k^2) = d*D k^4 - beta2 k^2 + beta3.  beta2 holds a term B1 D, so the
+    triple is tied to one D unless B1 = 0, as at the coexistence state of
+    the Rosenzweig-MacArthur interaction without predator competition."""
 
     beta1: float
     beta2: float
@@ -182,13 +186,21 @@ class BetaCoefficients:
     def b(self, D: float, d_star: float, k2):
         return d_star * D * k2 * k2 - self.beta2 * k2 + self.beta3
 
-    def discriminant(self, D: float, d_star: float, k2):
-        c1 = (D + d_star) * self.beta1 - 2.0 * self.beta2
+    def _b_quadratic(self, D: float, d_star: float):
+        """(A, c1, c0) of b = A x^2 - 2 c1 x + c0, x = k^2 (halving is exact)."""
+        return d_star * D, self.beta2 / 2.0, self.beta3
+
+    def _discriminant_quadratic(self, D: float, d_star: float):
+        """(A, c1, c0) of a^2 - 4b = A x^2 - 2 c1 x + c0, x = k^2."""
         return (
-            (D - d_star) ** 2 * k2 * k2
-            - 2.0 * c1 * k2
-            + (self.beta1**2 - 4.0 * self.beta3)
+            (D - d_star) ** 2,
+            (D + d_star) * self.beta1 - 2.0 * self.beta2,
+            self.beta1**2 - 4.0 * self.beta3,
         )
+
+    def discriminant(self, D: float, d_star: float, k2):
+        A, c1, c0 = self._discriminant_quadratic(D, d_star)
+        return A * k2 * k2 - 2.0 * c1 * k2 + c0
 
     def curves(self, d_star: float, eta_grid) -> "BifurcationCurve":
         """The D roots of a and b on a grid of eta = k^2 > 0."""
@@ -242,35 +254,51 @@ def bifurcation_curves(
     return beta_coefficients(kin, mot, eq).curves(float(mot.d(eq.v)), eta_grid)
 
 
+def _negative_interval(A: float, c1: float, c0: float) -> tuple[float, float] | None:
+    """The x >= 0 interval where A x^2 - 2 c1 x + c0 < 0 (A >= 0), or None.
+
+    A = 0 leaves a linear function, whose interval may be unbounded above.
+    """
+    if A == 0.0:
+        if c1 > 0.0:
+            return (max(0.0, c0 / (2.0 * c1)), math.inf)
+        if c1 < 0.0:
+            return (0.0, c0 / (2.0 * c1)) if c0 < 0.0 else None
+        return (0.0, math.inf) if c0 < 0.0 else None
+    disc = c1 * c1 - A * c0
+    if disc <= 0.0:
+        return None
+    q = c1 + math.copysign(math.sqrt(disc), c1)  # no cancellation in q
+    lo, hi = sorted((q / A, c0 / q))
+    return (max(0.0, lo), hi) if hi > 0.0 else None
+
+
 def steady_band(
     beta: BetaCoefficients, D: float, d_star: float
 ) -> tuple[float, float] | None:
     """k^2 interval where b(D, k^2) < 0 (stationary instability band).
 
-    Present iff beta2 > 0 and Lambda = beta2^2 - 4 beta3 D d* > 0; the
-    midpoint sign of b is verified before returning.
+    Present iff beta3 < 0, or beta2 > 0 and
+    Lambda = beta2^2 - 4 beta3 D d* > 0; it starts at k^2 = 0 when
+    beta3 <= 0.  The sign of b inside the band is verified before returning.
     """
     if D <= 0 or d_star <= 0:
         raise ValueError("D and d* must be positive")
-    if beta.beta2 <= 0.0:
+    band = _negative_interval(*beta._b_quadratic(D, d_star))
+    if band is None:
         return None
-    lam = beta.beta2**2 - 4.0 * beta.beta3 * D * d_star
-    if lam <= 0.0:
-        return None
-    root = math.sqrt(lam)
-    lo = (beta.beta2 - root) / (2.0 * D * d_star)
-    hi = (beta.beta2 + root) / (2.0 * D * d_star)
-    mid = 0.5 * (lo + hi)
-    if not beta.b(D, d_star, mid) < 0.0:
+    if not beta.b(D, d_star, 0.5 * (band[0] + band[1])) < 0.0:
         raise RuntimeError("band endpoints inconsistent with the sign of b")
-    return (lo, hi)
+    return band
 
 
 def steady_band_threshold(beta: BetaCoefficients, d_star: float) -> float | None:
     """Diffusivity D0 = beta2^2 / (4 beta3 d*) at which the stationary band
-    closes: Lambda(D) = beta2^2 - 4 beta3 D d* is linear in D and vanishes
-    there.  None when beta2 <= 0 (no band for any D)."""
-    if beta.beta2 <= 0.0:
+    closes: for beta3 > 0, Lambda(D) = beta2^2 - 4 beta3 D d* falls
+    linearly in D and vanishes there.  None when beta2 <= 0 or beta3 <= 0,
+    where no positive D closes a band: there is either none at any D or,
+    for beta3 < 0 or beta3 = 0 < beta2, one at every D."""
+    if beta.beta2 <= 0.0 or beta.beta3 <= 0.0:
         return None
     return beta.beta2**2 / (4.0 * beta.beta3 * d_star)
 
@@ -281,37 +309,21 @@ def hopf_band(
     """k^2 interval where the discriminant of the characteristic polynomial
     is negative (complex eigenvalue pair).
 
-    Computed from the roots of the quadratic (in k^2)
+    The discriminant is the quadratic (in x = k^2)
 
         (D - d*)^2 x^2 - 2[(D + d*) beta1 - 2 beta2] x + beta1^2 - 4 beta3,
 
     clipped to x >= 0; the degenerate case D = d* reduces to a linear
-    equation and may yield an interval unbounded above.
+    equation and may yield an interval unbounded above.  The sign of the
+    discriminant inside the band is verified before returning.
     """
     if D <= 0 or d_star <= 0:
         raise ValueError("D and d* must be positive")
-    c1 = (D + d_star) * beta.beta1 - 2.0 * beta.beta2
-    c0 = beta.beta1**2 - 4.0 * beta.beta3
-    A = (D - d_star) ** 2
-    if A == 0.0:
-        # delta(x) = -2 c1 x + c0
-        if c1 > 0.0:
-            band = (max(0.0, c0 / (2.0 * c1)), math.inf)
-        elif c1 < 0.0:
-            band = (0.0, c0 / (2.0 * c1)) if c0 < 0.0 else None
-        else:
-            band = (0.0, math.inf) if c0 < 0.0 else None
-    else:
-        disc = c1 * c1 - A * c0
-        if disc <= 0.0:
-            return None
-        root = math.sqrt(disc)
-        lo, hi = (c1 - root) / A, (c1 + root) / A
-        band = (max(0.0, lo), hi) if hi > 0.0 else None
+    band = _negative_interval(*beta._discriminant_quadratic(D, d_star))
     if band is None:
         return None
     lo, hi = band
-    inside = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
+    inside = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + 1.0
     if not beta.discriminant(D, d_star, inside) < 0.0:
         raise RuntimeError("band endpoints inconsistent with the discriminant sign")
     return band
@@ -331,47 +343,32 @@ def _instability_cutoff(sys: LinearizedSystem) -> float:
     """Upper bound (in k^2) past which every mode is provably stable.
 
     Instability requires a < 0 or b < 0; a < 0 only below
-    (B1+B4)/(d*+D) and b < 0 only between the roots of the k^2-quadratic.
+    beta1/(d*+D) and b < 0 only inside the stationary band.
     """
-    d, D = sys.d_star, sys.D
-    tr, c1, c0 = sys.coefficients
-    cut = 0.0
-    if tr > 0.0:
-        cut = max(cut, tr / (d + D))
-    disc = c1 * c1 - 4.0 * d * D * c0
-    if disc >= 0.0:
-        upper = (c1 + math.sqrt(disc)) / (2.0 * d * D)
-        cut = max(cut, upper)
-    return cut
+    d, D, coef = sys.d_star, sys.D, sys.coefficients
+    cut = max(0.0, coef.beta1 / (d + D))
+    band = _negative_interval(*coef._b_quadratic(D, d))
+    return cut if band is None else max(cut, band[1])
 
 
 def unstable_modes(
-    kin: KineticsModel,
-    mot: MotilityModel,
-    D: float,
-    eq: Equilibrium,
-    ell: float,
-    n_max: int | None = None,
+    kin: KineticsModel, mot: MotilityModel, D: float, eq: Equilibrium, ell: float
 ) -> list[Mode]:
     """Non-stable Neumann modes on an interval of length ell.
 
-    Modes n = 0..n_max are classified through the dispersion relation;
-    by default n_max reaches two modes past every instability band.
+    Modes are classified through the dispersion relation up to two modes
+    past every instability band.
     """
     if ell <= 0:
         raise ValueError("interval length must be positive")
     sys = linearize(kin, mot, D, eq)
-    if n_max is None:
-        cut = _instability_cutoff(sys)
-        n_past = math.floor(ell * math.sqrt(cut) / math.pi) + 1
-        n_max = n_past + 2
-    out = []
-    for n in range(n_max + 1):
-        k = n * math.pi / ell
-        pt = dispersion(sys, k)
-        if pt.klass is not StabilityClass.STABLE:
-            out.append(Mode(n, k, pt.klass, pt))
-    return out
+    n_max = math.floor(ell * math.sqrt(_instability_cutoff(sys)) / math.pi) + 3
+    points = (dispersion(sys, n * math.pi / ell) for n in range(n_max + 1))
+    return [
+        Mode(n, pt.k, pt.klass, pt)
+        for n, pt in enumerate(points)
+        if pt.klass is not StabilityClass.STABLE
+    ]
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,33 @@ class TestSteadyBand:
         assert steady_band(beta, 0.1, D1.d(CP_CO.v)) is None
         assert steady_band_threshold(beta, D1.d(CP_CO.v)) is None
 
+    def test_band_from_the_origin_when_beta3_negative(self):
+        # b = x^2 + x - 1 at D = d* = 1 is negative on [0, (sqrt 5 - 1)/2)
+        # although beta2 < 0
+        beta = BetaCoefficients(0.0, -1.0, -1.0)
+        assert beta.b(1.0, 1.0, 0.5) == -0.25
+        band = steady_band(beta, 1.0, 1.0)
+        assert band is not None
+        assert band[0] == 0.0
+        root = (math.sqrt(5.0) - 1.0) / 2.0
+        assert band[1] == pytest.approx(root, rel=1e-15, abs=0.0)
+
+    def test_small_root_without_cancellation(self):
+        # b = x^2 - x + 1e-20: the lower root 1e-20 (to 1e-20 relative) is
+        # lost to cancellation in (beta2 - sqrt(beta2^2 - 4 beta3)) / 2
+        lo, hi = steady_band(BetaCoefficients(0.0, 1.0, 1e-20), 1.0, 1.0)
+        assert lo == pytest.approx(1e-20, rel=1e-15, abs=0.0)
+        assert hi == 1.0
+
+    @pytest.mark.parametrize("beta3", [-1.0, 0.0])
+    def test_no_threshold_when_beta3_nonpositive(self, beta3):
+        # b(D, 0) = beta3 <= 0 < beta2: a band from the origin at every D
+        beta = BetaCoefficients(0.0, 1.0, beta3)
+        assert steady_band_threshold(beta, 1.0) is None
+        for D in (1e-3, 1.0, 1e3):
+            band = steady_band(beta, D, 1.0)
+            assert band is not None and band[0] == 0.0
+
 
 class TestHopfBand:
     def test_case1_contains_origin(self):
@@ -277,6 +304,14 @@ class TestHopfBand:
         for x in (0.0, 1.0, 100.0, 1e4):
             assert beta.discriminant(0.1, d_star, x) < 0.0
 
+    def test_unbounded_band_far_from_the_origin(self):
+        # D = d*: a^2 - 4b = -4e-20 x + 4 is negative past x = 1e20, where
+        # x + 1 == x in floating point
+        beta = BetaCoefficients(0.0, -1e-20, -1.0)
+        band = hopf_band(beta, 1.0, 1.0)
+        assert band == (pytest.approx(1e20, rel=1e-15), math.inf)
+        assert beta.discriminant(1.0, 1.0, 2.0 * band[0]) < 0.0
+
 
 class TestUnstableModes:
     def test_case1_mode_set(self):
@@ -319,11 +354,19 @@ class TestUnstableModes:
         assert 0.0 < rate(n_fast) - rate(0) < 2e-4
 
     def test_classification_stable_under_longer_scan(self):
+        # the default cutoff drops no non-stable mode: scan twice as far
         for mot, D, ell in ((D1, 0.1, 8 * math.pi), (D2, 1 / 4800, 4 * math.pi)):
             base = unstable_modes(CP_KIN, mot, D, CP_CO, ell)
             default_cutoff = max(m.n for m in base) + 3
-            wider = unstable_modes(CP_KIN, mot, D, CP_CO, ell, n_max=2 * default_cutoff)
-            assert [(m.n, m.klass) for m in base] == [(m.n, m.klass) for m in wider]
+            sys = linearize(CP_KIN, mot, D, CP_CO)
+            ks = [n * math.pi / ell for n in range(2 * default_cutoff + 1)]
+            points = [dispersion(sys, k) for k in ks]
+            wider = [
+                (n, pt.klass)
+                for n, pt in enumerate(points)
+                if pt.klass is not StabilityClass.STABLE
+            ]
+            assert [(m.n, m.klass) for m in base] == wider
 
 
 class TestMinStabilizingD:
@@ -395,3 +438,87 @@ class TestStabilityProperties:
         sys = linearize(kin, MotilityModel.d1(), D, co)
         for k in np.linspace(0.0, 10.0, 60):
             assert dispersion(sys, k).klass is StabilityClass.STABLE
+
+
+def _check_band(band, fn, tol, root_bound):
+    """Inside a band fn is negative, and just past each finite end it is
+    not; None only when a dense scan of [0, 10 * root_bound] finds no
+    negative value.  tol(x), the rounding floor of fn(x), bounds each
+    sign test."""
+    if band is None:
+        xs = np.linspace(0.0, 10.0 * max(root_bound, 1.0), 4001)
+        assert np.all(fn(xs) >= -tol(xs))
+        return
+    lo, hi = band
+    assert 0.0 <= lo < hi
+    if math.isfinite(hi):
+        inside = lo + (hi - lo) * np.linspace(0.1, 0.9, 9)
+        step = 1e-6 * hi
+        assert fn(hi + step) >= -tol(hi + step)
+    else:
+        inside = lo + max(lo, 1.0) * np.geomspace(1e-3, 1e3, 9)
+        step = 1e-6 * max(lo, 1.0)
+    assert np.all(fn(inside) < tol(inside))
+    if lo > 0.0:
+        past = lo - min(step, lo)
+        assert fn(past) >= -tol(past)
+
+
+def _root_bound(A, c1, c0):
+    """Bound on |x| over the real roots of A x^2 - 2 c1 x + c0."""
+    if A > 0.0:
+        return 2.0 * abs(c1) / A + math.sqrt(abs(c0) / A)
+    return abs(c0) / (2.0 * abs(c1)) if c1 != 0.0 else 0.0
+
+
+# zero or of magnitude >= 1e-6, so that the roots, and the scan of a^2 - 4b
+# past them, stay far below float overflow
+BETA = st.one_of(st.just(0.0), st.floats(1e-6, 4.0), st.floats(-4.0, -1e-6))
+
+
+class TestBandProperties:
+    """steady_band and hopf_band against the sign of b and a^2 - 4b."""
+
+    @given(
+        BETA,
+        BETA,
+        BETA,
+        st.floats(1e-3, 10.0),
+        st.floats(1e-3, 10.0),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bands_match_sign_scans(self, beta1, beta2, beta3, D, d_star, equal):
+        if equal:
+            D = d_star
+        beta = BetaCoefficients(beta1, beta2, beta3)
+
+        def b(x):
+            return beta.b(D, d_star, x)
+
+        def b_tol(x):
+            return 1e-12 * (d_star * D * x * x + abs(beta2) * x + abs(beta3))
+
+        _check_band(
+            steady_band(beta, D, d_star),
+            b,
+            b_tol,
+            _root_bound(d_star * D, beta2 / 2.0, beta3),
+        )
+
+        def delta(x):
+            return beta.a(D, d_star, x) ** 2 - 4.0 * b(x)
+
+        def delta_tol(x):
+            return 1e-12 * ((d_star + D) * x + abs(beta1)) ** 2 + 4.0 * b_tol(x)
+
+        _check_band(
+            hopf_band(beta, D, d_star),
+            delta,
+            delta_tol,
+            _root_bound(
+                (D - d_star) ** 2,
+                (D + d_star) * beta1 - 2.0 * beta2,
+                beta1**2 - 4.0 * beta3,
+            ),
+        )
