@@ -67,12 +67,16 @@ _ZERO, _ONE, _CAP = _operands(0.0, 1.0, _EXP_CAP)
 
 
 def _allocating(formula, v):
-    """``formula(v, None)``, whose ufuncs then allocate their results:
-    array ``v`` is taken as a float array, and scalar ``v`` gives a Python
-    float."""
-    v = float(v) if isinstance(v, (int, float)) else np.asarray(v, dtype=float)
-    x = formula(v, None)
+    """``formula(v, out)`` into a new float array ``out`` shaped like ``v``:
+    ``v`` is taken as a float array, and a scalar ``v`` gives a Python float."""
+    v = np.asarray(v, dtype=float)
+    x = formula(v, np.empty(v.shape))
     return float(x) if x.ndim == 0 else x
+
+
+def _evaluated(evaluator, v, out):
+    """Copy ``evaluator(v)`` into ``out``: custom kinetics as a kernel step."""
+    np.copyto(out, evaluator(v))
 
 
 class KineticsKind(Enum):
@@ -92,15 +96,21 @@ class KineticsModel:
     Custom kinetics supply F, F', f, f' explicitly (no automatic
     differentiation); evaluators must accept numpy arrays.
 
+    ``F``, ``f`` and ``reaction`` all evaluate through one private
+    factory, ``_kernel``, which dispatches on the kind once and binds a
+    zero-argument closure over the input, the output buffers, the 0-d
+    parameter operands and the ufuncs; the solver binds it once per
+    workspace.  So each closed form is written once, as the kernel's list
+    of ufunc calls, and each element takes the operations of the closed
+    forms above in their order.  Custom kinds bind their evaluators and
+    copy the results in.
+
     ``F`` and ``f`` take an optional ``out=``, a float array of the
     result's shape that shares no memory with ``v``, which receives the
     values and is returned.  The builtin kinds then allocate nothing
     (``f`` needs a ``scratch`` array of the same kind for mu*v, or
-    allocates one), and each element takes the operations of the closed
-    forms above in their order; custom kinds evaluate as usual and copy
-    in.  Without ``out=`` the builtin kinds run the same closed forms with
-    each ufunc allocating its result, so each closed form is written once;
-    scalar ``v`` is evaluated as a Python float and gives one.
+    allocates one).  Without ``out=`` the result goes to a new array;
+    scalar ``v`` gives a Python float.
     """
 
     kind: KineticsKind
@@ -154,35 +164,84 @@ class KineticsModel:
 
     @cached_property
     def _rate_operands(self):
-        """(gamma, theta, alpha) as ufunc operands for ``reaction``; alpha
-        is None when it is +0.0, whose term ``reaction`` leaves out."""
+        """(gamma, theta, alpha) as ufunc operands for the reaction terms;
+        alpha is None when it is +0.0, whose term ``_kernel`` leaves out."""
         gamma, theta, alpha = _operands(self.gamma, self.theta, self.alpha)
         plus_zero = self.alpha == 0.0 and math.copysign(1.0, self.alpha) > 0.0
         return gamma, theta, None if plus_zero else alpha
 
     @cached_property
     def _shape_operands(self):
-        """(mu, K, lam) as ufunc operands for ``F`` and ``f`` with ``out=``."""
+        """(mu, K, lam) as ufunc operands for the closed forms of F and f."""
         return _operands(self.mu, self.K, self.lam)
+
+    def _kernel(self, v, F=None, f=None, scratch=None, u=None, du=None):
+        """Bind a zero-argument closure that evaluates these kinetics at ``v``
+        into float buffers shaped like the result, which share no memory
+        with ``v`` or ``u``.
+
+        It writes f(v) into ``f`` and F(v) into ``F``, each when given; a
+        builtin f keeps mu*v in ``scratch``, allocated here when not given.
+        With ``u`` and ``du`` as well (and both ``F`` and ``f``), it goes on
+        to the reaction terms of ``reaction``: du = gamma*u*F - theta*u -
+        alpha*u*u and f(v) - u*F(v) in ``f``, with ``F`` then scratch for
+        the loss terms.  The kind is dispatched here, once: the closure
+        makes a fixed list of ufunc calls with every operand bound.
+        """
+        steps = []
+        if self.kind is KineticsKind.CUSTOM:
+            for evaluator, out in ((self.f_eval, f), (self.F_eval, F)):
+                if out is not None:
+                    steps.append((_evaluated, (evaluator, v, out)))
+        else:
+            mu, K, lam = self._shape_operands
+            if f is not None:
+                if scratch is None:
+                    scratch = np.empty_like(f)
+                # f = mu*v * (1 - v/K)
+                steps += [
+                    (np.multiply, (mu, v, scratch)),
+                    (np.divide, (v, K, f)),
+                    (np.subtract, (_ONE, f, f)),
+                    (np.multiply, (scratch, f, f)),
+                ]
+            if F is not None and self.kind is KineticsKind.LOTKA_VOLTERRA:
+                steps.append((np.add, (v, _ZERO, F)))  # F = v + 0.0
+            elif F is not None:
+                steps += [(np.add, (lam, v, F)), (np.divide, (v, F, F))]  # F = v/(lam + v)
+        if u is not None:
+            gamma, theta, alpha = self._rate_operands
+            steps += [
+                (np.multiply, (u, F, du)),
+                (np.subtract, (f, du, f)),  # f - u*F
+                (np.multiply, (gamma, u, du)),
+                (np.multiply, (du, F, du)),
+                (np.multiply, (theta, u, F)),
+                (np.subtract, (du, F, du)),  # gamma*u*F - theta*u
+            ]
+            # alpha = +0.0 makes alpha*u*u +0.0 for finite u, and x - (+0.0)
+            # is x to the bit; a non-finite u has already made du NaN
+            if alpha is not None:
+                steps += [
+                    (np.multiply, (alpha, u, F)),
+                    (np.multiply, (F, u, F)),
+                    (np.subtract, (du, F, du)),
+                ]
+        steps = tuple(steps)
+
+        def kernel():
+            for ufunc, operands in steps:
+                ufunc(*operands)
+
+        return kernel
 
     # Functional response and prey kinetics -------------------------------
 
     def F(self, v, out=None):
-        if self.kind is KineticsKind.CUSTOM:
-            if out is None:
-                return self.F_eval(v)
-            np.copyto(out, self.F_eval(v))
-            return out
         if out is None:
-            return _allocating(self._F_closed, v)
-        return self._F_closed(v, out)
-
-    def _F_closed(self, v, out):
-        # out is None or the caller's buffer; every ufunc writes there
-        if self.kind is KineticsKind.LOTKA_VOLTERRA:
-            return np.add(v, _ZERO, out)
-        lam = self._shape_operands[2]
-        return np.divide(v, np.add(lam, v, out), out)
+            return _allocating(self.F, v)
+        self._kernel(v, F=out)()
+        return out
 
     def F_prime(self, v):
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
@@ -192,20 +251,10 @@ class KineticsModel:
         return self.Fp_eval(v)
 
     def f(self, v, out=None, scratch=None):
-        if self.kind is KineticsKind.CUSTOM:
-            if out is None:
-                return self.f_eval(v)
-            np.copyto(out, self.f_eval(v))
-            return out
         if out is None:
-            return _allocating(self._f_closed, v)
-        return self._f_closed(v, out, scratch)
-
-    def _f_closed(self, v, out, scratch=None):
-        # scratch receives mu*v and out (1 - v/K); None lets the ufunc allocate
-        mu, K, _ = self._shape_operands
-        scratch = np.multiply(mu, v, scratch)
-        return np.multiply(scratch, np.subtract(_ONE, np.divide(v, K, out), out), out)
+            return _allocating(self.f, v)
+        self._kernel(v, f=out, scratch=scratch)()
+        return out
 
     def f_prime(self, v):
         if self.kind is KineticsKind.CUSTOM:
@@ -306,45 +355,61 @@ class MotilityModel:
         return self.d_and_chi(v)[1]
 
     def d_and_chi(self, v, out=None):
-        """(d(v), chi(v)): the one evaluator of every kind.
+        """(d(v), chi(v)): the one evaluator of every kind, bound by
+        ``_kernel``.
 
-        The builtin kinds share one exponential between the two and the
-        constant kind fills in its pair.  Scalar ``v`` gives Python floats.
-        ``out``, a pair of float arrays shaped like ``v``, receives (d, chi)
-        and is returned; no kind then allocates.
+        Scalar ``v`` gives Python floats.  ``out``, a pair of float arrays
+        shaped like ``v``, receives (d, chi) and is returned; no kind then
+        allocates.
+        """
+        if out is not None:
+            self._kernel(v, *out)()
+            return out
+        v = np.asarray(v, dtype=float)
+        d, chi = np.empty(v.shape), np.empty(v.shape)
+        self._kernel(v, d, chi)()
+        if v.ndim == 0:
+            return float(d), float(chi)
+        return d, chi
+
+    def _kernel(self, v, d, chi):
+        """Bind a zero-argument closure that writes d(v) into ``d`` and
+        chi(v) into ``chi``, float buffers shaped like ``v`` that share no
+        memory with it.
+
+        The kind is dispatched here, once, and the closure holds ``v``, the
+        buffers, the 0-d operands and the ufuncs, so a call reads ``v`` anew
+        and makes only ufunc calls.  The builtin kinds share one exponential
+        between d and chi; the constant kind fills in its pair.
         """
         params = self._logistic_operands
         if params is None:
-            d, chi = self.d_const, self.chi_const
-            if out is None:
-                if np.ndim(v) == 0:
-                    return d, chi
-                v = np.asarray(v, dtype=float)
-                return np.full_like(v, d), np.full_like(v, chi)
-            np.copyto(out[0], d)
-            np.copyto(out[1], chi)
-            return out
+            d_const, chi_const = self.d_const, self.chi_const
+
+            def constant():
+                d[...] = d_const
+                chi[...] = chi_const
+
+            return constant
         m, r = params
-        if out is None:
-            v = np.asarray(v, dtype=float)
-            d, chi = np.empty(v.shape), np.empty(v.shape)
-        else:
-            d, chi = out
-        # chi holds w = exp(min(r*(v - 1), cap)) and d holds s = m + w
-        np.subtract(v, _ONE, chi)
-        np.multiply(r, chi, chi)
-        np.minimum(chi, _CAP, out=chi)
-        np.exp(chi, chi)
-        np.add(m, chi, d)
-        # chi = -d' = r*w/(m+w)^2 as r*(sqrt(w)/s)**2; -(-r*x) == r*x exactly
-        np.sqrt(chi, chi)
-        np.divide(chi, d, chi)
-        np.multiply(chi, chi, chi)
-        np.multiply(r, chi, chi)
-        np.divide(_ONE, d, d)
-        if out is None and v.ndim == 0:
-            return float(d), float(chi)
-        return d, chi
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        minimum, exp, sqrt = np.minimum, np.exp, np.sqrt
+
+        def logistic():
+            # chi holds w = exp(min(r*(v - 1), cap)) and d holds s = m + w
+            subtract(v, _ONE, chi)
+            multiply(r, chi, chi)
+            minimum(chi, _CAP, out=chi)
+            exp(chi, chi)
+            add(m, chi, d)
+            # chi = -d' = r*w/(m+w)^2 as r*(sqrt(w)/s)**2; -(-r*x) == r*x exactly
+            sqrt(chi, chi)
+            divide(chi, d, chi)
+            multiply(chi, chi, chi)
+            multiply(r, chi, chi)
+            divide(_ONE, d, d)
+
+        return logistic
 
 
 class EquilibriumKind(Enum):
@@ -394,31 +459,17 @@ def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None, scratch
     of the result's shape that share no memory with ``u`` or ``v``,
     receives (du, dv) and is returned.  ``scratch``, one more such array,
     holds F(v) and then the loss terms; it is allocated when not given,
-    so with both the call allocates nothing for builtin kinetics.  F and
-    f are evaluated by ``KineticsModel.F`` and ``.f`` straight into these
-    buffers; each element then takes the operations of the expressions
-    above in their order.
+    so with both the call allocates nothing for builtin kinetics.  The
+    rates are evaluated by a kernel of ``KineticsModel._kernel``, the one
+    the solver binds once per workspace, with F and f included; each
+    element takes the operations of the expressions above in their order.
     """
     if out is None:
         shape = np.broadcast(u, v).shape
         out = (np.empty(shape), np.empty(shape))
     du, dv = out
-    gamma, theta, alpha = kin._rate_operands
-    Fv = np.empty_like(du) if scratch is None else scratch  # F(v), later scratch
-    kin.f(v, dv, du)  # du is free until u*F(v)
-    kin.F(v, Fv)
-    np.multiply(u, Fv, du)
-    dv -= du
-    np.multiply(gamma, u, du)
-    du *= Fv
-    np.multiply(theta, u, Fv)
-    du -= Fv
-    # alpha = +0.0 makes alpha*u*u +0.0 for finite u, and x - (+0.0) is x
-    # to the bit; a non-finite u has already made du NaN
-    if alpha is not None:
-        np.multiply(alpha, u, Fv)
-        Fv *= u
-        du -= Fv
+    Fv = np.empty_like(du) if scratch is None else scratch
+    kin._kernel(v, F=Fv, f=dv, scratch=du, u=u, du=du)()
     return du, dv
 
 

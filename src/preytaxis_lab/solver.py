@@ -14,25 +14,34 @@ implicit (tridiagonal) diffusion and explicit taxis/reaction.
 RK4 runs in a workspace that each SolverConfig builds on its first step
 (``SolverConfig._workspace``; ``dataclasses.replace``, copies and pickles
 get their own).  It holds every buffer and face or cell view the step
-needs, allocated once.  The state is one stacked (2, n) array, so face
-sums and differences, the three stage builds and the k1 + 2k2 + 2k3 + k4
-sum each take one NumPy call for both fields, and every call writes into
-a workspace buffer: the kinetics' F(v) and f(v) too, through ``reaction``
-and its scratch, so a right-hand side with builtin kinetics allocates
-nothing.  A step copies its start state into the workspace once and
-evaluates k1 there in place; its 0.5*dt, dt and dt/6 are set only when
-dt changes, once per output interval in ``integrate``; and it returns the
-new state as one new (2, n) array, which ``integrate`` checks with one
-max and one min.  ``stable_dt`` runs in the same workspace, in buffers
-of its own.  h, D, 0.5 and 2.0 are held as 0-d arrays, which NumPy takes
-without the per-call conversion of a Python float.  At 256 cells a step
-is bound by NumPy's per-call cost, not by arithmetic, so fewer and
-cheaper calls make it faster; every element still takes the operations
-of the plain expressions in their order, so results are the same to the
-last bit.  ``rk4_step`` and ``rhs`` return new arrays, never workspace
-buffers.  A workspace is scratch for one caller at a time: a
-SolverConfig must not be stepped, nor passed to ``stable_dt``, from two
-threads at once.
+needs, allocated once, and binds its kernels once: closures over those
+buffers, the 0-d operands h, D, 0.5 and 2.0 (which NumPy takes without
+the per-call conversion of a Python float), the ufuncs, and the model
+kernels that ``MotilityModel._kernel`` and ``KineticsModel._kernel``
+bind for d and chi and for the reaction with F and f.  A stage then
+makes ufunc calls and zero-argument kernel calls only, with no model
+method, kind check or attribute lookup.  The state is one stacked (2, n)
+array, so face sums and differences, the three stage builds and the
+k1 + 2k2 + 2k3 + k4 sum each take one NumPy call for both fields, and
+every call writes into a workspace buffer, so a right-hand side with
+builtin kinetics allocates nothing.  A step copies its start state into
+the workspace once and evaluates k1 there, straight into the sum; its
+0.5*dt, dt and dt/6 are set only when dt changes, once per output
+interval in ``integrate``; and it returns the new state as one new
+(2, n) array, which ``integrate`` checks with one maximum and one
+minimum reduction.  ``stable_dt`` runs a kernel of the same workspace,
+in buffers of its own.  Three lookups stay at call time, so wrappers
+bound in this module by name see every call: ``integrate`` looks up
+``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
+``_rhs_arrays``, which picks the start-state or the stage kernel by the
+identity of its arguments.  At 256 cells a step is bound by NumPy's
+per-call cost and the interpreter's work around it, not by arithmetic,
+so fewer and cheaper calls make it faster; every element still takes
+the operations of the plain expressions in their order, so results are
+the same to the last bit.  ``rk4_step`` and ``rhs`` return new arrays,
+never workspace buffers.  A workspace is scratch for one caller at a
+time: a SolverConfig must not be stepped, nor passed to ``stable_dt``,
+from two threads at once.
 """
 
 from __future__ import annotations
@@ -70,6 +79,11 @@ BLOWUP_LIMIT = 1e6
 NEGATIVITY_LIMIT = -1e-8
 
 
+def _is_count(x) -> bool:
+    """Whether ``x`` is an integer, NumPy's included (a float is not)."""
+    return isinstance(x, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform cell-centered grid on [0, ell]."""
@@ -78,6 +92,8 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
+        if not _is_count(self.n_cells):
+            raise ValueError("the cell count must be an integer")
         if self.n_cells < 8:
             raise ValueError("need at least 8 cells")
         if not 0 < self.ell < math.inf:
@@ -140,6 +156,8 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        if not (_is_count(self.snapshot_count) and _is_count(self.series_count)):
+            raise ValueError("output counts must be integers")
         if self.snapshot_count < 2 or self.series_count < 2:
             raise ValueError("need at least two output points")
 
@@ -263,85 +281,130 @@ def _divergence(flux: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers and views for RK4 on one SolverConfig, allocated once.
+    """Buffers, views and bound kernels for RK4 on one SolverConfig, built once.
 
     States are stacked (2, n) arrays, row 0 the predator u and row 1 the
-    prey v, so one ufunc call serves both fields.  The right-hand side
-    reads ``y`` and writes ``dy``; the step keeps its start state in
-    ``y0`` and its k1 + 2k2 + 2k3 + k4 sum in ``acc``.  ``h``, ``D`` and
-    the models are read from the config once.
+    prey v, so one ufunc call serves both fields.  The step keeps its start
+    state in ``y0`` and its k1 + 2k2 + 2k3 + k4 sum in ``acc``.  Two
+    right-hand-side kernels are bound: ``start`` reads ``y0`` and writes k1
+    straight into ``acc``, and ``stage`` reads ``y`` and writes ``dy``.
+    ``stable_dt`` is a kernel of its own, in buffers of its own.  Each
+    kernel is a closure over every buffer, view, 0-d operand, ufunc and
+    model kernel it uses, so a call makes no attribute lookup and no
+    dispatch on the model kinds.
     """
 
     def __init__(self, cfg: SolverConfig):
         n = cfg.grid.n_cells
-        self.kin, self.mot = cfg.kin, cfg.mot
-        self.h, self.D, self.half, self.two = _operands(cfg.grid.h, cfg.D, 0.5, 2.0)
+        h, D, half, self.two = _operands(cfg.grid.h, cfg.D, 0.5, 2.0)
         # 0.5*dt, dt and dt/6 of the step size ``dt``, set when it changes
         self.dt = None
         self.c_half, self.c_full, self.c_sixth = np.empty(()), np.empty(()), np.empty(())
-        self.y0, self.y, self.dy, self.acc, self.tmp = np.empty((5, 2, n))
+        self.y0, self.y, dy, self.acc, self.tmp = np.empty((5, 2, n))
         self.u0, self.v0 = self.y0
         self.u, self.v = self.y
-        self.y0_r, self.y0_l = self.y0[:, 1:], self.y0[:, :-1]
-        self.y_r, self.y_l = self.y[:, 1:], self.y[:, :-1]
         # face sums hold (uf, vf) and face differences (du/h, dv/h)
-        self.face_sum, self.face_diff = np.empty((2, 2, n - 1))
-        self.uf, self.vf = self.face_sum
-        self.dudx, self.dvdx = self.face_diff
-        self.d, self.chi, self.taxis = np.empty((3, n - 1))
-        self.d_chi = (self.d, self.chi)
+        face_sum, face_diff = np.empty((2, 2, n - 1))
+        uf, vf = face_sum
+        dudx, dvdx = face_diff
+        d, chi, taxis = np.empty((3, n - 1))
+        motility = cfg.mot._kernel(vf, d, chi)
         flux = _padded_flux(2, n)
-        self.flux_u, self.flux_v = flux[:, 1:-1]
-        self.flux_r, self.flux_l = flux[:, 1:], flux[:, :-1]
-        self.react = np.empty((2, n))
-        self.ru_rv = tuple(self.react)
-        self.Fv = np.empty(n)  # reaction's F(v) scratch
-        # stable_dt: the motility input holds the n cells, then the n - 1
-        # faces; dt_d and dt_chi receive d and chi there, and speed is the
-        # advective speed on the faces
-        self.v_cf, self.dt_d, self.dt_chi = np.empty((3, 2 * n - 1))
-        self.v_cells, self.v_faces = self.v_cf[:n], self.v_cf[n:]
-        self.d_cells, self.chi_faces = self.dt_d[:n], self.dt_chi[n:]
-        self.speed = np.empty(n - 1)
+        flux_u, flux_v = flux[:, 1:-1]
+        flux_r, flux_l = flux[:, 1:], flux[:, :-1]
+        react = np.empty((2, n))
+        ru, rv = react
+        Fv = np.empty(n)  # the reaction's F(v) scratch
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+
+        def bind_rhs(y, u, v, dy):
+            """(du/dt, dv/dt) of the state ``y`` (rows ``u`` and ``v``) into
+            ``dy``: the fluxes of the module docstring and the reaction."""
+            y_r, y_l = y[:, 1:], y[:, :-1]
+            reaction = cfg.kin._kernel(v, F=Fv, f=rv, scratch=ru, u=u, du=ru)
+
+            def rhs():
+                add(y_r, y_l, face_sum)
+                multiply(face_sum, half, face_sum)
+                subtract(y_r, y_l, face_diff)
+                divide(face_diff, h, face_diff)
+                motility()
+                # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
+                multiply(dudx, d, flux_u)
+                multiply(uf, chi, taxis)
+                multiply(taxis, dvdx, taxis)
+                subtract(flux_u, taxis, flux_u)
+                multiply(D, dvdx, flux_v)
+                subtract(flux_r, flux_l, dy)
+                divide(dy, h, dy)
+                reaction()
+                add(dy, react, dy)
+                return dy
+
+            return rhs
+
+        self.start = bind_rhs(self.y0, self.u0, self.v0, self.acc)
+        self.stage = bind_rhs(self.y, self.u, self.v, dy)
+        self.stable_dt = _bind_stable_dt(cfg, h, half)
+
+
+def _bind_stable_dt(cfg: SolverConfig, h_operand: np.ndarray, half: np.ndarray):
+    """The workspace's ``stable_dt`` kernel: v in, the CFL step out.
+
+    The motility input holds the n cells, then the n - 1 faces; d and chi
+    land there, and ``speed`` is the advective speed on the faces.
+    """
+    n = cfg.grid.n_cells
+    h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
+    v_cf, dt_d, dt_chi = np.empty((3, 2 * n - 1))
+    v_cells, v_faces = v_cf[:n], v_cf[n:]
+    v_r, v_l = v_cells[1:], v_cells[:-1]
+    d_cells, chi_faces = dt_d[:n], dt_chi[n:]
+    speed = np.empty(n - 1)
+    motility = cfg.mot._kernel(v_cf, dt_d, dt_chi)
+    add, subtract, multiply, divide, absolute = (
+        np.add, np.subtract, np.multiply, np.divide, np.absolute
+    )
+    largest = np.maximum.reduce
+
+    def stable_dt(v):
+        v_cells[...] = v
+        add(v_r, v_l, v_faces)
+        multiply(half, v_faces, v_faces)
+        motility()
+        d_max = float(largest(d_cells))
+        subtract(v_r, v_l, speed)
+        multiply(chi_faces, speed, speed)
+        divide(speed, h_operand, speed)
+        absolute(speed, speed)
+        w_max = float(largest(speed))
+        dt_diff = h * h / (2.0 * max(d_max, D))
+        dt_adv = h / (w_max + 1e-300)
+        return safety * min(dt_diff, dt_adv)
+
+    return stable_dt
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(du/dt, dv/dt) stacked in the workspace's ``dy``: divergence of the
+    """(du/dt, dv/dt) stacked in a workspace buffer: divergence of the
     fluxes in the module docstring plus the reaction terms.
 
-    The workspace's rows ``u0`` and ``v0`` (the step's start state) and
-    ``u`` and ``v`` are read in place; other arrays are copied into ``u``
-    and ``v`` first.  The result is overwritten by the next call on the
-    same config.  Every element takes the operations of the plain
-    expressions in their order, so the result is the same to the last bit.
+    The workspace's rows ``u0`` and ``v0`` (the step's start state) run the
+    ``start`` kernel, whose result is the step's ``acc``; any other arrays
+    run the ``stage`` kernel on ``u`` and ``v``, into which arrays other
+    than those rows are copied first.  The result is overwritten by the
+    next call on the same config.  Every element takes the operations of
+    the plain expressions in their order, so the result is the same to
+    the last bit.
     """
     ws = cfg._workspace
     if u is ws.u0 and v is ws.v0:
-        y_r, y_l = ws.y0_r, ws.y0_l
-    else:
-        if u is not ws.u:
-            ws.u[...] = u
-        if v is not ws.v:
-            ws.v[...] = v
-        u, v, y_r, y_l = ws.u, ws.v, ws.y_r, ws.y_l
-    h, face_sum, face_diff = ws.h, ws.face_sum, ws.face_diff
-    flux_u, taxis, dy = ws.flux_u, ws.taxis, ws.dy
-    np.add(y_r, y_l, face_sum)
-    np.multiply(face_sum, ws.half, face_sum)
-    np.subtract(y_r, y_l, face_diff)
-    np.divide(face_diff, h, face_diff)
-    d, chi = ws.mot.d_and_chi(ws.vf, ws.d_chi)
-    # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
-    np.multiply(ws.dudx, d, flux_u)
-    np.multiply(ws.uf, chi, taxis)
-    np.multiply(taxis, ws.dvdx, taxis)
-    np.subtract(flux_u, taxis, flux_u)
-    np.multiply(ws.D, ws.dvdx, ws.flux_v)
-    np.subtract(ws.flux_r, ws.flux_l, dy)
-    np.divide(dy, h, dy)
-    reaction(ws.kin, u, v, ws.ru_rv, ws.Fv)
-    np.add(dy, ws.react, dy)
-    return dy
+        return ws.start()
+    if u is not ws.u:
+        ws.u[...] = u
+    if v is not ws.v:
+        ws.v[...] = v
+    return ws.stage()
 
 
 def rhs(state: State, cfg: SolverConfig):
@@ -356,28 +419,12 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     """CFL-limited explicit step: the diffusive bound h^2/(2 max(d, D))
     and the taxis-advection bound h/w_max, scaled by cfl_safety.
 
-    One motility evaluation covers the cells (for d) and the faces (for
-    chi) together.  Every temporary is a buffer of the config's workspace,
-    and each element takes the operations of the plain expressions
-    0.5*(v[1:] + v[:-1]) and abs(chi*(v[1:] - v[:-1])/h) in their order."""
-    ws = cfg._workspace
-    h = cfg.grid.h
-    v = state.v
-    v_r, v_l = v[1:], v[:-1]
-    np.copyto(ws.v_cells, v)
-    np.add(v_r, v_l, out=ws.v_faces)
-    np.multiply(ws.half, ws.v_faces, out=ws.v_faces)
-    # out= buffers also take the constant kind's scalars
-    cfg.mot.d_and_chi(ws.v_cf, out=(ws.dt_d, ws.dt_chi))
-    d_max = float(ws.d_cells.max())
-    w = np.subtract(v_r, v_l, out=ws.speed)
-    np.multiply(ws.chi_faces, w, out=w)
-    np.divide(w, ws.h, out=w)
-    np.abs(w, out=w)
-    w_max = float(w.max())
-    dt_diff = h * h / (2.0 * max(d_max, cfg.D))
-    dt_adv = h / (w_max + 1e-300)
-    return cfg.cfl_safety * min(dt_diff, dt_adv)
+    It runs the workspace's ``stable_dt`` kernel.  One motility evaluation
+    covers the cells (for d) and the faces (for chi) together.  Every
+    temporary is a buffer of the config's workspace, and each element takes
+    the operations of the plain expressions 0.5*(v[1:] + v[:-1]) and
+    abs(chi*(v[1:] - v[:-1])/h) in their order."""
+    return cfg._workspace.stable_dt(state.v)
 
 
 def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -385,43 +432,46 @@ def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.n
     which callers unpack as ``u, v``.
 
     The stages run in the config's workspace.  The start state is copied
-    into ``y0`` once and k1 is evaluated on it in place.  Each stage build
-    and the k1 + 2k2 + 2k3 + k4 sum take one call for both fields, with
-    the operation order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u +
-    2*k3u + k4u).  0.5*dt, dt and dt/6 are refilled only when ``dt`` is not
-    the object the last step was given; ``integrate`` gives one object to
-    every step of an output interval.  ``_rhs_arrays`` is looked up at
-    call time, and a ``(du, dv)`` pair from it is taken as well as a
-    stacked array.
+    into ``y0`` once and k1 is evaluated on it in place, straight into the
+    sum ``acc``.  Each stage build and the k1 + 2k2 + 2k3 + k4 sum take one
+    call for both fields, with the operation order of u + 0.5*dt*k1u, ...,
+    u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).  0.5*dt, dt and dt/6 are refilled
+    only when ``dt`` is not the object the last step was given; ``integrate``
+    gives one object to every step of an output interval.  ``_rhs_arrays``
+    is looked up at call time, and a ``(du, dv)`` pair from it is taken as
+    well as a stacked array.
     """
     ws = cfg._workspace
-    y0, y, acc, tmp, two = ws.y0, ws.y, ws.acc, ws.tmp, ws.two
     if dt is not ws.dt:
         ws.dt = dt
         ws.c_half[...] = 0.5 * dt
         ws.c_full[...] = dt
         ws.c_sixth[...] = dt / 6.0
+    y0, y, acc, tmp, two = ws.y0, ws.y, ws.acc, ws.tmp, ws.two
+    u0, v0, u1, v1 = ws.u0, ws.v0, ws.u, ws.v
     c_half = ws.c_half
-    ws.u0[...] = u
-    ws.v0[...] = v
-    k = _rhs_arrays(cfg, ws.u0, ws.v0)  # k1
-    np.copyto(acc, k)
-    np.multiply(c_half, k, y)
-    np.add(y0, y, y)
-    k = _rhs_arrays(cfg, ws.u, ws.v)  # k2
-    np.multiply(two, k, tmp)
-    np.add(acc, tmp, acc)
-    np.multiply(c_half, k, y)
-    np.add(y0, y, y)
-    k = _rhs_arrays(cfg, ws.u, ws.v)  # k3
-    np.multiply(two, k, tmp)
-    np.add(acc, tmp, acc)
-    np.multiply(ws.c_full, k, y)
-    np.add(y0, y, y)
-    k = _rhs_arrays(cfg, ws.u, ws.v)  # k4
-    np.add(acc, k, acc)
-    np.multiply(ws.c_sixth, acc, acc)
-    return np.add(y0, acc)
+    multiply, add = np.multiply, np.add
+    u0[...] = u
+    v0[...] = v
+    k = _rhs_arrays(cfg, u0, v0)  # k1
+    if k is not acc:
+        acc[...] = k
+    multiply(c_half, acc, y)
+    add(y0, y, y)
+    k = _rhs_arrays(cfg, u1, v1)  # k2
+    multiply(two, k, tmp)
+    add(acc, tmp, acc)
+    multiply(c_half, k, y)
+    add(y0, y, y)
+    k = _rhs_arrays(cfg, u1, v1)  # k3
+    multiply(two, k, tmp)
+    add(acc, tmp, acc)
+    multiply(ws.c_full, k, y)
+    add(y0, y, y)
+    k = _rhs_arrays(cfg, u1, v1)  # k4
+    add(acc, k, acc)
+    multiply(ws.c_sixth, acc, acc)
+    return add(y0, acc)
 
 
 def _solve_diffusion(q: np.ndarray, coef_face: np.ndarray, h: float, dt: float):
@@ -593,8 +643,9 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     The CFL step is recomputed at every output interval and subdivided so
     steps land exactly on output times.  Raises BlowUpError (fields beyond
     1e6 or non-finite) or NonPhysicalError (densities below -1e-8); both
-    carry the partial trajectory, the time the failing step reached, and
-    the guard, cell and value that tripped.
+    carry the partial trajectory, the time the failing step reached (0
+    for a start state that fails the guard), and the guard, cell and value
+    that tripped.
     """
     state = init_state(cfg)
     u, v = state.u, state.v
@@ -606,6 +657,14 @@ def integrate(cfg: SolverConfig) -> Trajectory:
 
     rec = _SeriesRecorder(cfg)
     snapshots: list[State] = []
+    # maximum and minimum propagate NaN, which fails every comparison, and
+    # +-inf fail the limits: two reductions over both fields catch every
+    # non-finite value.  _guard_error works out which guard tripped.  The
+    # start state is checked like a step's result, before it is recorded.
+    largest, smallest = np.maximum.reduce, np.minimum.reduce
+    y = np.stack((u, v))
+    if not (largest(y, None) <= BLOWUP_LIMIT and smallest(y, None) >= NEGATIVITY_LIMIT):
+        raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec)
     rec.record(0.0, u, v)
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
@@ -620,11 +679,7 @@ def integrate(cfg: SolverConfig) -> Trajectory:
             # imex_step, and a wrapper bound over rk4_step, may return a (u, v) pair
             y = np.asarray(step(cfg, u, v, dt))
             u, v = y
-            # max and min propagate NaN, which fails every comparison, and
-            # +-inf fail the limits: two reductions over both fields catch
-            # every non-finite value.  _guard_error works out which guard
-            # tripped.
-            if not (y.max() <= BLOWUP_LIMIT and y.min() >= NEGATIVITY_LIMIT):
+            if not (largest(y, None) <= BLOWUP_LIMIT and smallest(y, None) >= NEGATIVITY_LIMIT):
                 raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
         t = t_next
         if in_series[idx]:

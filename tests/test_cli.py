@@ -334,6 +334,19 @@ class TestSimulateCommand:
         else:
             assert code == 0
 
+    def test_negative_start_state_exits_5_at_t0(self, tmp_path):
+        # epsilon = 1.5 perturbs cells by up to 150%, so some start negative
+        with open(os.path.join(CONFIGS, "case1.ini"), encoding="utf-8") as fh:
+            body = set_key(fh.read(), "solver", "epsilon", "1.5")
+        cfg = write_config(tmp_path, body)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 5
+        manifest = read_manifest(out)
+        assert manifest["status"] == "nonphysical"
+        assert manifest["failure_time"] == 0
+        header, rows = read_csv(os.path.join(out, "timeseries.csv"))
+        assert header[0] == "t" and rows == []
+
     def test_imex_scheme_through_config(self, tmp_path):
         body = SIMULATE_SMALL.replace("scheme = rk4", "scheme = imex")
         cfg = write_config(tmp_path, body)

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +411,34 @@ class TestGridValidation:
             ).base_arrays()
 
 
+class TestIntegerCounts:
+    """Cell and output counts must be integers; a float fails in the
+    constructor, not later inside NumPy."""
+
+    @pytest.mark.parametrize("n_cells", [8.5, 16.0])
+    def test_grid_rejects_a_float_cell_count(self, n_cells):
+        with pytest.raises(ValueError):
+            Grid1D(10.0, n_cells)
+
+    @pytest.mark.parametrize("over", [{"snapshot_count": 2.5}, {"snapshot_count": 3.0},
+                                      {"series_count": 40.0}])
+    def test_config_rejects_a_float_output_count(self, over):
+        with pytest.raises(ValueError):
+            cp_config(**over)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = cp_config(
+            grid=Grid1D(8 * math.pi, np.int64(16)),
+            base_state=(np.full(16, CP_CO.u), np.full(16, CP_CO.v)),
+            snapshot_count=np.int32(3),
+            series_count=np.int64(5),
+            t_end=0.1,
+        )
+        traj = integrate(cfg)
+        assert len(traj.snapshots) == 3 and traj.series.t.size == 5
+        assert traj.snapshots[-1].u.shape == (16,)
+
+
 def _holling3():
     a = lambda v: np.asarray(v, dtype=float)
     return KineticsModel.custom(
@@ -714,6 +744,86 @@ class TestStepGuard:
         assert (err.guard, err.field, err.cell, err.value) == ("negativity", "v", 21, -1e-3)
         assert err.t == pytest.approx(sum(calls), rel=1e-12)
         assert "negativity guard tripped by v[21]" in str(err)
+
+
+class TestStartStateGuard:
+    """integrate checks the start state with the step guard before its
+    first stable_dt, and records nothing when it fails."""
+
+    @pytest.mark.parametrize(
+        "value, error, guard",
+        [
+            (np.nan, BlowUpError, "non-finite"),
+            (np.inf, BlowUpError, "non-finite"),
+            (-1.0, NonPhysicalError, "negativity"),
+            (2e6, BlowUpError, "blow-up limit"),
+        ],
+    )
+    def test_bad_start_state_fails_at_t0(self, value, error, guard):
+        v = np.full(64, CP_CO.v)
+        v[37] = value
+        cfg = cp_config(base_state=(np.full(64, CP_CO.u), v), perturbation=Perturbation(0.0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no step runs, so no RuntimeWarning either
+            with pytest.raises(error) as exc:
+                integrate(cfg)
+        err = exc.value
+        assert type(err) is error and err.t == 0.0
+        assert (err.guard, err.field, err.cell) == (guard, "v", 37)
+        assert err.value == value or (math.isnan(err.value) and math.isnan(value))
+        assert err.trajectory.status == error.status
+        assert err.trajectory.snapshots == [] and err.trajectory.series.t.size == 0
+
+
+def _python_calls(fn, *args):
+    """Names of the Python-level functions entered while fn(*args) runs;
+    calls into C (ufuncs, slice assignment) are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+class TestCallBudget:
+    """The RK4 hot path makes few Python-level calls: rk4_step, then per
+    stage _rhs_arrays, the bound right-hand-side kernel and the motility
+    and reaction kernels it holds."""
+
+    STEP_BUDGET = 1 + 4 * 4  # rk4_step plus four per stage
+    STABLE_DT_BUDGET = 3  # stable_dt, its bound kernel and the motility kernel
+
+    def _warmed(self):
+        n = 256
+        kin = KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.0, 4.0, 1.0)
+        co = compute_equilibria(kin).coexistence
+        cfg = cp_config(
+            kin=kin, mot=MotilityModel.d2(), D=1.0 / 4800.0, grid=Grid1D(4 * math.pi, n),
+            base_state=co, perturbation=Perturbation(0.01, 1),
+        )
+        st = init_state(cfg)
+        dt = stable_dt(st, cfg)
+        rk4_step(cfg, st.u, st.v, dt)  # the workspace exists and holds this dt
+        return cfg, st, dt
+
+    def test_rk4_step_budget(self):
+        cfg, st, dt = self._warmed()
+        names = _python_calls(rk4_step, cfg, st.u, st.v, dt)
+        assert len(names) <= self.STEP_BUDGET, names
+        assert names[0] == "rk4_step" and names.count("_rhs_arrays") == 4
+
+    def test_stable_dt_budget(self):
+        cfg, st, _ = self._warmed()
+        names = _python_calls(stable_dt, st, cfg)
+        assert len(names) <= self.STABLE_DT_BUDGET, names
+        assert names[0] == "stable_dt"
 
 
 class TestLookupAtCallTime:
