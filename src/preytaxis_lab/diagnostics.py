@@ -203,15 +203,23 @@ class PatternClass:
 
 def _max_lag_correlation(x: np.ndarray) -> float:
     """Largest Pearson correlation between the series and its lagged copy
-    over positive lags up to half the window; NaN if degenerate."""
+    over positive lags up to half the window; NaN if degenerate.
+
+    Each lag's deviations from the mean are computed once and serve both
+    the standard deviations and the covariance; these are the operations
+    ``ndarray.std`` and ``np.mean`` make, so the result is the same to the
+    bit.
+    """
     x = np.asarray(x, dtype=float)
+    total = np.add.reduce
     best = math.nan
     for lag in range(1, x.size // 2 + 1):
-        a, b = x[:-lag], x[lag:]
-        sa, sb = a.std(), b.std()
+        a, b, m = x[:-lag], x[lag:], x.size - lag
+        da, db = a - total(a) / m, b - total(b) / m
+        sa, sb = math.sqrt(total(da * da) / m), math.sqrt(total(db * db) / m)
         if sa == 0.0 or sb == 0.0:
             continue
-        r = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+        r = float(total(da * db) / m / (sa * sb))
         if math.isnan(best) or r > best:
             best = r
     return best

@@ -20,28 +20,37 @@ the per-call conversion of a Python float), the ufuncs, and the model
 kernels that ``MotilityModel._kernel`` and ``KineticsModel._kernel``
 bind for d and chi and for the reaction with F and f.  A stage then
 makes ufunc calls and zero-argument kernel calls only, with no model
-method, kind check or attribute lookup.  The state is one stacked (2, n)
-array, so face sums and differences, the three stage builds and the
-k1 + 2k2 + 2k3 + k4 sum each take one NumPy call for both fields, and
-every call writes into a workspace buffer, so a right-hand side with
-builtin kinetics allocates nothing.  A step copies its start state into
-the workspace once and evaluates k1 there, straight into the sum; its
+method, kind check or attribute lookup.  Every state-sized buffer is one
+C-contiguous (2, n + 1) block: row 0 holds u and row 1 v, each as n
+cells and one pad lane that starts at +0.0 and stays +0.0.  NumPy runs a
+ufunc over a contiguous operand in its fast inner loop, and over strided
+views through its general iterator, which at these sizes costs more than
+the arithmetic.  So the face sums, the face differences and the flux
+divergence, which pair each lane with the next, each take one 1-D call
+on the flat block [u, pad, v, pad]: the faces that touch a pad are junk
+that no flux reads, and the divergence lane between the rows is
+(+0.0) - (-0.0) = +0.0, on row 0's pad.  The three stage builds and the
+k1 + 2k2 + 2k3 + k4 sum each take one call on whole blocks.  Every call
+writes into a workspace buffer, so a right-hand side with builtin
+kinetics allocates nothing.  A step copies its start state into the
+workspace once and evaluates k1 there, straight into the sum; its
 0.5*dt, dt and dt/6 are set only when dt changes, once per output
-interval in ``integrate``; and it returns the new state as one new
-(2, n) array, which ``integrate`` checks with one maximum and one
-minimum reduction.  ``stable_dt`` runs a kernel of the same workspace,
-in buffers of its own.  Three lookups stay at call time, so wrappers
-bound in this module by name see every call: ``integrate`` looks up
-``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
+interval in ``integrate``; and it returns the new state as the (2, n)
+cells of one new (2, n + 1) block, which ``integrate`` checks with one
+maximum and one minimum reduction, on the cells alone.  ``stable_dt``
+runs a kernel of the same workspace, in buffers of its own, and divides
+the largest advective term by h once.  Three lookups stay at call time,
+so wrappers bound in this module by name see every call: ``integrate``
+looks up ``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
 ``_rhs_arrays``, which picks the start-state or the stage kernel by the
-identity of its arguments.  At 256 cells a step is bound by NumPy's
-per-call cost and the interpreter's work around it, not by arithmetic,
-so fewer and cheaper calls make it faster; every element still takes
-the operations of the plain expressions in their order, so results are
-the same to the last bit.  ``rk4_step`` and ``rhs`` return new arrays,
-never workspace buffers.  A workspace is scratch for one caller at a
-time: a SolverConfig must not be stepped, nor passed to ``stable_dt``,
-from two threads at once.
+identity of its arguments.  At 128 or 256 cells a step is bound by
+NumPy's per-call cost and the interpreter's work around it, not by
+arithmetic, so fewer and cheaper calls make it faster; every element
+still takes the operations of the plain expressions in their order, so
+results are the same to the last bit.  ``rk4_step`` and ``rhs`` return
+new arrays, never workspace buffers.  A workspace is scratch for one
+caller at a time: a SolverConfig must not be stepped, nor passed to
+``stable_dt``, from two threads at once.
 """
 
 from __future__ import annotations
@@ -126,6 +135,8 @@ class Perturbation:
     def __post_init__(self):
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and >= 0")
+        if not _is_count(self.seed):
+            raise ValueError("the seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -283,14 +294,28 @@ def _divergence(flux: np.ndarray, h: float) -> np.ndarray:
 class _Workspace:
     """Buffers, views and bound kernels for RK4 on one SolverConfig, built once.
 
-    States are stacked (2, n) arrays, row 0 the predator u and row 1 the
-    prey v, so one ufunc call serves both fields.  The step keeps its start
-    state in ``y0`` and its k1 + 2k2 + 2k3 + k4 sum in ``acc``.  Two
-    right-hand-side kernels are bound: ``start`` reads ``y0`` and writes k1
-    straight into ``acc``, and ``stage`` reads ``y`` and writes ``dy``.
-    ``stable_dt`` is a kernel of its own, in buffers of its own.  Each
-    kernel is a closure over every buffer, view, 0-d operand, ufunc and
-    model kernel it uses, so a call makes no attribute lookup and no
+    Every buffer is one C-contiguous (2, n + 1) block: row 0 holds the
+    predator u, row 1 the prey v, each as its n cells and then one pad
+    lane that starts at +0.0 and stays +0.0.  ``y0`` holds the step's
+    start state, ``y`` the stage state, ``acc`` the k1 + 2k2 + 2k3 + k4
+    sum, ``tmp`` scratch, ``dy`` the stage derivative, ``react`` the
+    reaction and ``flux`` the face flux (its ends are the zero-flux
+    boundaries).  NumPy runs a ufunc over a whole contiguous block as one
+    1-D loop, so a stage build or a step of the sum is one fast call for
+    both fields.  The face sums and differences and the flux divergence,
+    which pair each lane with the next, run on flat views of the blocks,
+    [u, pad, v, pad], as one contiguous 1-D call each; on strided (2, .)
+    views NumPy goes through its general iterator.  Two lanes of those
+    calls are junk: the faces that touch a pad, which no flux reads, and
+    the divergence lane between the rows, (+0.0) - (-0.0) = +0.0, which
+    lands on row 0's pad.
+
+    Two right-hand-side kernels are bound: ``start`` reads ``y0`` and
+    writes k1 straight into ``acc``, and ``stage`` reads ``y`` and writes
+    ``dy``; each returns the (2, n) cells of what it wrote, ``k1`` or
+    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own.
+    Each kernel is a closure over every buffer, view, 0-d operand, ufunc
+    and model kernel it uses, so a call makes no attribute lookup and no
     dispatch on the model kinds.
     """
 
@@ -300,34 +325,44 @@ class _Workspace:
         # 0.5*dt, dt and dt/6 of the step size ``dt``, set when it changes
         self.dt = None
         self.c_half, self.c_full, self.c_sixth = np.empty(()), np.empty(()), np.empty(())
-        self.y0, self.y, dy, self.acc, self.tmp = np.empty((5, 2, n))
-        self.u0, self.v0 = self.y0
-        self.u, self.v = self.y
-        # face sums hold (uf, vf) and face differences (du/h, dv/h)
-        face_sum, face_diff = np.empty((2, 2, n - 1))
-        uf, vf = face_sum
-        dudx, dvdx = face_diff
+        # np.zeros gives every pad lane its +0.0
+        self.blocks = np.zeros((6, 2, n + 1))
+        self.y0, self.y, self.dy, self.acc, self.tmp, react = self.blocks
+        self.u0, self.v0 = self.y0[:, :n]
+        self.u, self.v = self.y[:, :n]
+        self.k, self.k1 = self.dy[:, :n], self.acc[:, :n]
+        # face sums hold (uf, vf) and face differences (du/h, dv/h) in
+        # lanes [:n - 1] of each row; the flat calls also fill row 0's
+        # last two lanes and row 1's lane n - 1, with junk
+        face_sum, face_diff = np.zeros((2, 2, n + 1))
+        sums, diffs = face_sum.reshape(-1)[:-1], face_diff.reshape(-1)[:-1]
+        uf, vf = face_sum[:, : n - 1]
+        dudx, dvdx = face_diff[:, : n - 1]
         d, chi, taxis = np.empty((3, n - 1))
         motility = cfg.mot._kernel(vf, d, chi)
-        flux = _padded_flux(2, n)
-        flux_u, flux_v = flux[:, 1:-1]
-        flux_r, flux_l = flux[:, 1:], flux[:, :-1]
-        react = np.empty((2, n))
-        ru, rv = react
+        self.flux = _padded_flux(2, n)
+        flux_u, flux_v = self.flux[:, 1:-1]
+        flat_flux = self.flux.reshape(-1)
+        flux_r, flux_l = flat_flux[1:], flat_flux[:-1]
+        ru, rv = react[:, :n]
         Fv = np.empty(n)  # the reaction's F(v) scratch
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
-        def bind_rhs(y, u, v, dy):
-            """(du/dt, dv/dt) of the state ``y`` (rows ``u`` and ``v``) into
-            ``dy``: the fluxes of the module docstring and the reaction."""
-            y_r, y_l = y[:, 1:], y[:, :-1]
+        def bind_rhs(y, dy, cells):
+            """(du/dt, dv/dt) of the state block ``y`` into the block ``dy``:
+            the fluxes of the module docstring and the reaction.  The kernel
+            returns ``cells``, the (2, n) cells of ``dy``."""
+            flat = y.reshape(-1)
+            y_r, y_l = flat[1:], flat[:-1]
+            div = dy.reshape(-1)[:-1]  # the flux has one lane fewer than dy
+            u, v = y[:, :n]
             reaction = cfg.kin._kernel(v, F=Fv, f=rv, scratch=ru, u=u, du=ru)
 
             def rhs():
-                add(y_r, y_l, face_sum)
-                multiply(face_sum, half, face_sum)
-                subtract(y_r, y_l, face_diff)
-                divide(face_diff, h, face_diff)
+                add(y_r, y_l, sums)
+                multiply(sums, half, sums)
+                subtract(y_r, y_l, diffs)
+                divide(diffs, h, diffs)
                 motility()
                 # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
                 multiply(dudx, d, flux_u)
@@ -335,24 +370,27 @@ class _Workspace:
                 multiply(taxis, dvdx, taxis)
                 subtract(flux_u, taxis, flux_u)
                 multiply(D, dvdx, flux_v)
-                subtract(flux_r, flux_l, dy)
-                divide(dy, h, dy)
+                subtract(flux_r, flux_l, div)
+                divide(div, h, div)
                 reaction()
                 add(dy, react, dy)
-                return dy
+                return cells
 
             return rhs
 
-        self.start = bind_rhs(self.y0, self.u0, self.v0, self.acc)
-        self.stage = bind_rhs(self.y, self.u, self.v, dy)
-        self.stable_dt = _bind_stable_dt(cfg, h, half)
+        self.start = bind_rhs(self.y0, self.acc, self.k1)
+        self.stage = bind_rhs(self.y, self.dy, self.k)
+        self.stable_dt = _bind_stable_dt(cfg, half)
 
 
-def _bind_stable_dt(cfg: SolverConfig, h_operand: np.ndarray, half: np.ndarray):
+def _bind_stable_dt(cfg: SolverConfig, half: np.ndarray):
     """The workspace's ``stable_dt`` kernel: v in, the CFL step out.
 
     The motility input holds the n cells, then the n - 1 faces; d and chi
-    land there, and ``speed`` is the advective speed on the faces.
+    land there, and ``speed`` holds |chi * (v[1:] - v[:-1])| on the faces.
+    Its maximum is divided by h once: IEEE division by h > 0 is correctly
+    rounded and monotone, so that is the maximum of the speeds divided by
+    h, to the bit.
     """
     n = cfg.grid.n_cells
     h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
@@ -362,9 +400,7 @@ def _bind_stable_dt(cfg: SolverConfig, h_operand: np.ndarray, half: np.ndarray):
     d_cells, chi_faces = dt_d[:n], dt_chi[n:]
     speed = np.empty(n - 1)
     motility = cfg.mot._kernel(v_cf, dt_d, dt_chi)
-    add, subtract, multiply, divide, absolute = (
-        np.add, np.subtract, np.multiply, np.divide, np.absolute
-    )
+    add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.absolute
     largest = np.maximum.reduce
 
     def stable_dt(v):
@@ -375,9 +411,8 @@ def _bind_stable_dt(cfg: SolverConfig, h_operand: np.ndarray, half: np.ndarray):
         d_max = float(largest(d_cells))
         subtract(v_r, v_l, speed)
         multiply(chi_faces, speed, speed)
-        divide(speed, h_operand, speed)
         absolute(speed, speed)
-        w_max = float(largest(speed))
+        w_max = float(largest(speed)) / h
         dt_diff = h * h / (2.0 * max(d_max, D))
         dt_adv = h / (w_max + 1e-300)
         return safety * min(dt_diff, dt_adv)
@@ -386,16 +421,16 @@ def _bind_stable_dt(cfg: SolverConfig, h_operand: np.ndarray, half: np.ndarray):
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(du/dt, dv/dt) stacked in a workspace buffer: divergence of the
-    fluxes in the module docstring plus the reaction terms.
+    """(du/dt, dv/dt) as the (2, n) cells of a workspace block: divergence
+    of the fluxes in the module docstring plus the reaction terms.
 
     The workspace's rows ``u0`` and ``v0`` (the step's start state) run the
-    ``start`` kernel, whose result is the step's ``acc``; any other arrays
-    run the ``stage`` kernel on ``u`` and ``v``, into which arrays other
-    than those rows are copied first.  The result is overwritten by the
-    next call on the same config.  Every element takes the operations of
-    the plain expressions in their order, so the result is the same to
-    the last bit.
+    ``start`` kernel, whose result is ``k1``, the cells of the step's sum
+    ``acc``; any other arrays run the ``stage`` kernel on ``u`` and ``v``,
+    into which arrays other than those rows are copied first, and give
+    ``k``, the cells of ``dy``.  The result is overwritten by the next call
+    on the same config.  Every element takes the operations of the plain
+    expressions in their order, so the result is the same to the last bit.
     """
     ws = cfg._workspace
     if u is ws.u0 and v is ws.v0:
@@ -429,17 +464,18 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
 
 def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step; returns the new state as one (2, n) array,
-    which callers unpack as ``u, v``.
+    the cells of a new (2, n + 1) block, which callers unpack as ``u, v``.
 
     The stages run in the config's workspace.  The start state is copied
     into ``y0`` once and k1 is evaluated on it in place, straight into the
     sum ``acc``.  Each stage build and the k1 + 2k2 + 2k3 + k4 sum take one
-    call for both fields, with the operation order of u + 0.5*dt*k1u, ...,
-    u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).  0.5*dt, dt and dt/6 are refilled
-    only when ``dt`` is not the object the last step was given; ``integrate``
-    gives one object to every step of an output interval.  ``_rhs_arrays``
-    is looked up at call time, and a ``(du, dv)`` pair from it is taken as
-    well as a stacked array.
+    call on whole (2, n + 1) blocks, pads included, with the operation
+    order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).
+    0.5*dt, dt and dt/6 are refilled only when ``dt`` is not the object the
+    last step was given; ``integrate`` gives one object to every step of an
+    output interval.  ``_rhs_arrays`` is looked up at call time; a result
+    of it other than the workspace's own (a ``(du, dv)`` pair from a
+    wrapper) is copied into the cells of ``acc`` or ``dy``.
     """
     ws = cfg._workspace
     if dt is not ws.dt:
@@ -447,31 +483,37 @@ def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.n
         ws.c_half[...] = 0.5 * dt
         ws.c_full[...] = dt
         ws.c_sixth[...] = dt / 6.0
-    y0, y, acc, tmp, two = ws.y0, ws.y, ws.acc, ws.tmp, ws.two
-    u0, v0, u1, v1 = ws.u0, ws.v0, ws.u, ws.v
+    y0, y, dy, acc, tmp, two = ws.y0, ws.y, ws.dy, ws.acc, ws.tmp, ws.two
+    u0, v0, u1, v1, k1, k_cells = ws.u0, ws.v0, ws.u, ws.v, ws.k1, ws.k
     c_half = ws.c_half
     multiply, add = np.multiply, np.add
     u0[...] = u
     v0[...] = v
     k = _rhs_arrays(cfg, u0, v0)  # k1
-    if k is not acc:
-        acc[...] = k
+    if k is not k1:
+        k1[...] = k
     multiply(c_half, acc, y)
     add(y0, y, y)
     k = _rhs_arrays(cfg, u1, v1)  # k2
-    multiply(two, k, tmp)
+    if k is not k_cells:
+        k_cells[...] = k
+    multiply(two, dy, tmp)
     add(acc, tmp, acc)
-    multiply(c_half, k, y)
+    multiply(c_half, dy, y)
     add(y0, y, y)
     k = _rhs_arrays(cfg, u1, v1)  # k3
-    multiply(two, k, tmp)
+    if k is not k_cells:
+        k_cells[...] = k
+    multiply(two, dy, tmp)
     add(acc, tmp, acc)
-    multiply(ws.c_full, k, y)
+    multiply(ws.c_full, dy, y)
     add(y0, y, y)
     k = _rhs_arrays(cfg, u1, v1)  # k4
-    add(acc, k, acc)
+    if k is not k_cells:
+        k_cells[...] = k
+    add(acc, dy, acc)
     multiply(ws.c_sixth, acc, acc)
-    return add(y0, acc)
+    return add(y0, acc)[:, : u0.size]
 
 
 def _solve_diffusion(q: np.ndarray, coef_face: np.ndarray, h: float, dt: float):
@@ -541,21 +583,24 @@ class Trajectory:
     status: str = "ok"
 
 
-# States per recorder block: a (16, 2, n) buffer is 64 KiB at 256 cells,
-# enough to amortize NumPy's per-call cost without raising peak memory.
-_SERIES_BLOCK = 16
+# States per recorder block: a (64, 2, n) buffer is 128 KiB at 128 cells
+# and 256 KiB at 256.  A 500-row series took least time at 64 states per
+# block at 256 cells and within 0.5 ms of the least (at 128) at 128 cells;
+# 128 doubles the block and the temporaries of a flush, which raised the
+# peak memory of an eight-member sweep by 1.3 MB.
+_SERIES_BLOCK = 64
 
 
 class _SeriesRecorder:
     """TimeSeries rows, computed a block of states at a time.
 
-    ``record`` stores t and copies the state into a (_SERIES_BLOCK, 2, n)
-    buffer.  When the buffer fills, and in ``finalize`` (which a guard
-    error reaches too), each quantity takes one NumPy call over the
-    block's stacked states, reducing along the contiguous cell axis, so
-    every row gets the pairwise sums a single state would.  V1 and V2
-    take one call each on the rows that meet their preconditions; they are
-    looked up in this module at call time.
+    ``record`` stores t and copies the stacked state into a
+    (_SERIES_BLOCK, 2, n) buffer, in one copy.  When the buffer fills, and
+    in ``finalize`` (which a guard error reaches too), each quantity takes
+    one NumPy call over the block's stacked states, reducing along the
+    contiguous cell axis, so every row gets the pairwise sums a single
+    state would.  V1 and V2 take one call each on the rows that meet their
+    preconditions; they are looked up in this module at call time.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -568,11 +613,11 @@ class _SeriesRecorder:
         self.count = 0  # rows recorded
         self.flushed = 0  # rows whose diagnostics are in cols
 
-    def record(self, t: float, u: np.ndarray, v: np.ndarray):
+    def record(self, t: float, y: np.ndarray):
+        """Store the (2, n) state ``y`` (rows u and v) at time t."""
         row = self.count - self.flushed
         self.cols[0, self.count] = t
-        self.block[row, 0] = u
-        self.block[row, 1] = v
+        self.block[row] = y
         self.count += 1
         if row + 1 == _SERIES_BLOCK:
             self._flush()
@@ -665,7 +710,7 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     y = np.stack((u, v))
     if not (largest(y, None) <= BLOWUP_LIMIT and smallest(y, None) >= NEGATIVITY_LIMIT):
         raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec)
-    rec.record(0.0, u, v)
+    rec.record(0.0, y)
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
     step = rk4_step if cfg.scheme == "rk4" else imex_step
@@ -683,7 +728,7 @@ def integrate(cfg: SolverConfig) -> Trajectory:
                 raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
         t = t_next
         if in_series[idx]:
-            rec.record(t, u, v)
+            rec.record(t, y)
         if in_snap[idx]:
             snapshots.append(State(t, u.copy(), v.copy()))
     return Trajectory(cfg.grid, snapshots, rec.finalize())

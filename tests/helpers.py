@@ -166,6 +166,32 @@ def reference_stable_dt(state, cfg):
     return cfg.cfl_safety * min(dt_diff, dt_adv)
 
 
+def same_bits(a, b):
+    """Equal to the bit: NaN in the same places, and every other element
+    with the same bits (signs of zero included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.int64), b[~nan].view(np.int64)
+    )
+
+
+def reference_max_lag_correlation(x):
+    """Copy of the original lag correlation of diagnostics.classify_pattern:
+    ndarray.std and np.mean on every lag."""
+    x = np.asarray(x, dtype=float)
+    best = math.nan
+    for lag in range(1, x.size // 2 + 1):
+        a, b = x[:-lag], x[lag:]
+        sa, sb = a.std(), b.std()
+        if sa == 0.0 or sb == 0.0:
+            continue
+        r = float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+        if math.isnan(best) or r > best:
+            best = r
+    return best
+
+
 def run_fresh_python(code, *args):
     """Run ``code`` in a new interpreter that imports this ``preytaxis_lab``.
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import run_fresh_python
+from helpers import reference_max_lag_correlation, run_fresh_python, same_bits
 from preytaxis_lab.diagnostics import (
     QUAD_TOL,
     DecayVerdict,
+    _max_lag_correlation,
     InsufficientDataError,
     PatternLabel,
     classify_pattern,
@@ -284,6 +285,32 @@ class TestClassifyPattern:
         t = np.linspace(0, 10, 100)
         with pytest.raises(InsufficientDataError):
             classify_pattern(make_traj(flat_series(t, np.ones(100))), tail_fraction=0.2)
+
+
+class TestMaxLagCorrelation:
+    """The lag correlation against the ndarray.std / np.mean copy in
+    helpers, to the bit."""
+
+    @pytest.mark.parametrize("size", [2, 3, 17, 100, 101])
+    def test_random_series(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-9, 1.0, 1e7):
+            x = scale * rng.normal(size=size)
+            x -= np.mean(x)  # as classify_pattern passes it
+            got = _max_lag_correlation(x)
+            assert type(got) is float and same_bits(got, reference_max_lag_correlation(x))
+
+    def test_constant_series_skip_their_lags(self):
+        for x in (np.zeros(40), np.full(41, 3.0), np.r_[np.full(30, 1.0), np.arange(10.0)]):
+            assert same_bits(_max_lag_correlation(x), reference_max_lag_correlation(x))
+        assert math.isnan(_max_lag_correlation(np.full(41, 3.0)))
+
+    def test_series_with_nan(self):
+        x = np.random.default_rng(3).normal(size=60)
+        for cell in (0, 29, 59):
+            y = x.copy()
+            y[cell] = math.nan
+            assert same_bits(_max_lag_correlation(y), reference_max_lag_correlation(y))
 
 
 class TestDecayFit:

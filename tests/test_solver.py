@@ -14,9 +14,11 @@ from helpers import (
     modal_growth_rate,
     reference_lyapunov_v1,
     reference_lyapunov_v2,
+    reference_rhs_arrays,
     reference_rk4_step,
     reference_series,
     reference_stable_dt,
+    same_bits,
 )
 from preytaxis_lab.diagnostics import lyapunov_v1, lyapunov_v2
 from preytaxis_lab.model import (
@@ -123,6 +125,16 @@ class TestInitState:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError):
             init_state(cp_config(perturbation=Perturbation(0.01, -1)))
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0])
+    def test_float_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="integer"):
+            Perturbation(0.01, seed)
+
+    def test_numpy_integer_seed_is_a_seed(self):
+        a = init_state(cp_config(perturbation=Perturbation(0.01, np.int64(3))))
+        b = init_state(cp_config(perturbation=Perturbation(0.01, 3)))
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 class TestRhs:
@@ -552,6 +564,74 @@ class TestFusedKernel:
         assert np.max(np.abs(u - st.u)) > 1e-6
 
 
+def _edge_state(cfg, name):
+    """A state whose end cells sit next to the workspace's pad lanes."""
+    st = init_state(cfg)
+    u, v = st.u.copy(), st.v.copy()
+    if name == "jump":  # thirty orders of magnitude across the pad between the rows
+        u[-1], v[0] = 1e15, 1e-15
+    elif name == "signed_zeros":
+        u[:2], u[-2:] = (0.0, -0.0), (-0.0, 0.0)
+        v[:2], v[-2:] = (-0.0, -0.0), (0.0, -0.0)
+    else:
+        u[-1] = math.nan
+    return u, v
+
+
+class TestPaddedWorkspace:
+    """Each row of a workspace block ends in a pad lane, which the flat
+    face and divergence calls pair with the neighbouring row's end cells:
+    no end value may leak into the other field, and every pad stays +0.0."""
+
+    @staticmethod
+    def _cfg(mot_name, kin_name):
+        return cp_config(
+            kin=KINETICS[kin_name](),
+            mot=MOTILITIES[mot_name],
+            base_state=(np.full(64, 1.2), np.full(64, 1.5)),
+            perturbation=Perturbation(0.2, 3),
+        )
+
+    @staticmethod
+    def _assert_pads_are_plus_zero(cfg):
+        ws = cfg._workspace
+        pads = ws.blocks[:, :, -1]
+        assert np.all(pads == 0.0) and not np.signbit(pads).any()
+        # the zero-flux boundary faces keep +0.0 (left) and -0.0 (right)
+        assert same_bits(ws.flux[:, 0], [0.0, 0.0]) and same_bits(ws.flux[:, -1], [-0.0, -0.0])
+
+    @pytest.mark.parametrize("state", ["jump", "signed_zeros", "nan"])
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    @pytest.mark.parametrize("mot_name", sorted(MOTILITIES))
+    def test_edge_states_match_the_reference(self, mot_name, kin_name, state):
+        cfg = self._cfg(mot_name, kin_name)
+        u, v = _edge_state(cfg, state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            du, dv = solver._rhs_arrays(cfg, u, v)
+            du_ref, dv_ref = reference_rhs_arrays(cfg, u, v)
+            assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
+            if state == "nan":
+                # u[-1] reaches dv only through the reaction of its own cell
+                assert np.flatnonzero(np.isnan(dv)).tolist() == [63]
+            y = rk4_step(cfg, u, v, 1e-3)
+            u_ref, v_ref = reference_rk4_step(cfg, u, v, 1e-3)
+            assert same_bits(y[0], u_ref) and same_bits(y[1], v_ref)
+        self._assert_pads_are_plus_zero(cfg)
+
+    @pytest.mark.parametrize("kin_name", sorted(KINETICS))
+    @pytest.mark.parametrize("mot_name", sorted(MOTILITIES))
+    def test_pads_stay_plus_zero(self, mot_name, kin_name):
+        cfg = self._cfg(mot_name, kin_name)
+        self._assert_pads_are_plus_zero(cfg)  # as built
+        st = init_state(cfg)
+        u, v = st.u, st.v
+        for _ in range(5):
+            u, v = rk4_step(cfg, u, v, stable_dt(State(0.0, u, v), cfg))
+            solver._rhs_arrays(cfg, u, v)
+            self._assert_pads_are_plus_zero(cfg)
+
+
 class TestWorkspace:
     """The RK4 workspace is scratch: nothing a caller holds may alias it,
     and each config has its own."""
@@ -941,7 +1021,12 @@ class TestSeriesRecorder:
         assert traj.series.t.size == count
         _assert_series_equal(traj.series, reference_series(cfg, _states(traj)))
 
-    def test_partial_series_of_a_guard_trip(self):
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        """16-state blocks, so a short series spans full and partial blocks."""
+        monkeypatch.setattr(solver, "_SERIES_BLOCK", 16)
+
+    def test_partial_series_of_a_guard_trip(self, small_blocks):
         cfg = cp_config(
             mot=MotilityModel.constant(0.01, chi_const=1.0),
             perturbation=Perturbation(0.5, 0),
@@ -955,7 +1040,7 @@ class TestSeriesRecorder:
         _assert_series_equal(traj.series, reference_series(cfg, _states(traj)))
 
     @pytest.mark.parametrize("kin_name", sorted(KINETICS))
-    def test_nonpositive_rows_get_nan_where_the_reference_does(self, kin_name):
+    def test_nonpositive_rows_get_nan_where_the_reference_does(self, kin_name, small_blocks):
         kin = KINETICS[kin_name]()
         n = 8 if kin_name == "custom" else 64
         cfg = cp_config(
@@ -975,7 +1060,7 @@ class TestSeriesRecorder:
         states = [(0.1 * i, u, v) for i, (u, v) in enumerate(y)]
         rec = solver._SeriesRecorder(cfg)
         for t, u, v in states:
-            rec.record(t, u, v)
+            rec.record(t, np.stack((u, v)))
         ref = reference_series(cfg, states)
         assert np.isnan(ref["V1"]).sum() == 4 and np.isnan(ref["V2"]).sum() == 7
         _assert_series_equal(rec.finalize(), ref)
