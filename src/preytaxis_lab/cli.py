@@ -10,6 +10,9 @@ Subcommands
                snapshots.csv, final_state.csv
   sweep        per-diffusivity instability census        -> sweep.csv
 
+Every manifest records the sampled check of hypotheses H1-H4 on [0, 2K];
+``dispersion``'s also records the steady and Hopf bands in k^2.
+
 Each config key is one ``RunConfig`` field, which holds its ``[section]``,
 parser, default (config text for the parser) and range check; parsing,
 validation and the manifest's config echo read those fields.  Each setting
@@ -32,7 +35,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import compress
 
@@ -48,7 +51,10 @@ from .linstab import (
     StabilityClass,
     beta_coefficients,
     dispersion,
+    hopf_band,
     linearize,
+    min_stabilizing_D,
+    steady_band,
     steady_band_threshold,
     unstable_modes,
 )
@@ -57,6 +63,7 @@ from .model import (
     MotilityKind,
     MotilityModel,
     Regime,
+    check_hypotheses,
     compute_equilibria,
     global_stability_report,
 )
@@ -357,16 +364,33 @@ def _write_csv(path: str, header: tuple[str, ...], blocks) -> int:
     return count
 
 
-class _Run:
-    """Collects output files and writes the manifest atomically at the end."""
+def _json_float(x: float):
+    """x, or None (JSON null) when it is NaN or infinite."""
+    return x if math.isfinite(x) else None
 
-    def __init__(self, rc: RunConfig, command: str):
+
+def _hypotheses(kin: KineticsModel, mot: MotilityModel) -> dict:
+    """``check_hypotheses`` on [0, 2K], so that H3's clause beyond K is
+    sampled, as the manifest records it."""
+    report = check_hypotheses(kin, mot, 2.0 * kin.K)
+    out = {"v_max": report.v_max, "n_samples": report.n_samples}
+    for name in ("H1", "H2", "H3", "H4"):
+        finding = asdict(getattr(report, name.lower()))
+        out[name] = {**finding, "status": finding["status"].value}
+    return out
+
+
+class _Run:
+    """Collects output files and writes the manifest atomically at the end;
+    the manifest records the models' hypothesis check."""
+
+    def __init__(self, rc: RunConfig, command: str, kin: KineticsModel, mot: MotilityModel):
         self.rc = rc
         self.command = command
         self.dir = rc.out_dir
         os.makedirs(self.dir, exist_ok=True)
         self.files: list[dict] = []
-        self.extra: dict = {}
+        self.extra: dict = {"hypotheses": _hypotheses(kin, mot)}
         self.started = time.time()
 
     def csv(self, name: str, header: tuple[str, ...], blocks) -> str:
@@ -399,9 +423,9 @@ class _Run:
 
 
 def cmd_equilibria(rc: RunConfig) -> int:
-    kin, _ = build_models(rc)
+    kin, mot = build_models(rc)
     eqs = compute_equilibria(kin)
-    run = _Run(rc, "equilibria")
+    run = _Run(rc, "equilibria", kin, mot)
     run.csv(
         "equilibria.csv",
         ("kind", "u", "v", "residual"),
@@ -426,7 +450,7 @@ def cmd_dispersion(rc: RunConfig) -> int:
     eqs = _coexistence_or_fail(kin)
     co = eqs.coexistence
     sys_ = linearize(kin, mot, rc.D, co)
-    run = _Run(rc, "dispersion")
+    run = _Run(rc, "dispersion", kin, mot)
 
     def rows():
         for eta in rc.eta_grid:
@@ -454,9 +478,17 @@ def cmd_dispersion(rc: RunConfig) -> int:
         ("n", "k", "class"),
         _table((m.n, m.k, m.klass.value) for m in modes),
     )
+    coef = sys_.coefficients
+    run.extra["bands"] = {
+        name: None if band is None else [_json_float(x) for x in band]
+        for name, band in (
+            ("steady", steady_band(coef, rc.D, sys_.d_star)),
+            ("hopf", hopf_band(coef, rc.D, sys_.d_star)),
+        )
+    }
     try:
-        beta = beta_coefficients(kin, mot, co)
-        run.extra["beta"] = {"beta1": beta.beta1, "beta2": beta.beta2, "beta3": beta.beta3}
+        run.extra["beta"] = asdict(beta_coefficients(kin, mot, co))
+        run.extra["min_stabilizing_D"] = asdict(min_stabilizing_D(kin, mot, co, rc.length))
     except ValueError:
         pass
     run.finish()
@@ -472,7 +504,7 @@ def cmd_bifurcation(rc: RunConfig) -> int:
         raise ModelError(str(exc)) from exc
     d_star = float(mot.d(co.v))
     curve = beta.curves(d_star, rc.eta_grid)
-    run = _Run(rc, "bifurcation")
+    run = _Run(rc, "bifurcation", kin, mot)
     run.csv(
         "curves.csv",
         ("eta", "D_H", "D_S"),
@@ -547,7 +579,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     kin, mot = build_models(rc)
     eqs = compute_equilibria(kin)
     cfg = _solver_config(rc, kin, mot, eqs)
-    run = _Run(rc, "simulate")
+    run = _Run(rc, "simulate", kin, mot)
     try:
         traj = integrate(cfg)
     except (BlowUpError, NonPhysicalError) as exc:
@@ -573,10 +605,6 @@ def cmd_simulate(rc: RunConfig) -> int:
     _attach_decay(run, rc, kin, mot, eqs, traj)
     run.finish()
     return EXIT_OK
-
-
-def _json_float(x: float):
-    return None if math.isnan(x) else x
 
 
 def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
@@ -648,7 +676,7 @@ def cmd_sweep(rc: RunConfig, simulate: bool = False) -> int:
         rows = results
     else:
         rows = [(r[0], r[1], r[2], r[3], r[5]) for r in results]
-    run = _Run(rc, "sweep")
+    run = _Run(rc, "sweep", kin, mot)
     run.csv("sweep.csv", header, _table(rows))
     failures = sum(1 for r in results if r[5])
     run.extra["failed_rows"] = failures

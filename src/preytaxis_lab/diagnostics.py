@@ -1,5 +1,5 @@
-"""Trajectory diagnostics: Lyapunov functionals, convexity bounds for the
-prey energy density, pattern-regime classification and decay-rate fits.
+"""Trajectory diagnostics: Lyapunov functionals and their prey energy
+density, pattern-regime classification and decay-rate fits.
 
 Two energy functionals certify global convergence in the stable regimes:
 
@@ -31,11 +31,9 @@ __all__ = [
     "PatternClass",
     "DecayVerdict",
     "DecayFit",
-    "ZetaBoundsReport",
     "InsufficientDataError",
     "zeta",
     "zeta_by_quadrature",
-    "zeta_bounds_check",
     "lyapunov_v1",
     "lyapunov_v2",
     "classify_pattern",
@@ -94,42 +92,6 @@ def zeta(kin: KineticsModel, omega_star: float, v):
         return np.array(vals).reshape(varr.shape)
     out = _zeta_closed(kin, omega_star, varr)
     return float(out) if varr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ZetaBoundsReport:
-    """Sampled check of the two-sided quadratic bound
-
-        F'(w)/(4F(w)) (v-w)^2  <=  Z_w(v)  <=  F'(w)/F(w) (v-w)^2
-
-    on the neighborhood [w - delta, w + delta]."""
-
-    holds_lower: bool
-    holds_upper: bool
-    worst_lower_violation: float
-    worst_upper_violation: float
-    delta: float
-    n_samples: int
-
-
-def zeta_bounds_check(
-    kin: KineticsModel, omega_star: float, delta: float | None = None, n_samples: int = 1000
-) -> ZetaBoundsReport:
-    """Verify the quadratic sandwich bounds for Z near omega_star."""
-    if delta is None:
-        delta = 0.2 * omega_star
-    lo = max(omega_star - delta, 1e-12 * omega_star)
-    v = np.linspace(lo, omega_star + delta, n_samples)
-    z = np.asarray(zeta(kin, omega_star, v), dtype=float)
-    Fw = float(kin.F(omega_star))
-    Fpw = float(kin.F_prime(omega_star))
-    quad_term = (v - omega_star) ** 2
-    lower = Fpw / (4.0 * Fw) * quad_term
-    upper = Fpw / Fw * quad_term
-    viol_lo = float(np.max(lower - z))
-    viol_hi = float(np.max(z - upper))
-    tol = 1e-12
-    return ZetaBoundsReport(viol_lo <= tol, viol_hi <= tol, viol_lo, viol_hi, delta, n_samples)
 
 
 def _energy(h: float, kin: KineticsModel, pred: np.ndarray, inner: np.ndarray):

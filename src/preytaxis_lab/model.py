@@ -66,12 +66,14 @@ def _operands(*values):
 _ZERO, _ONE, _CAP = _operands(0.0, 1.0, _EXP_CAP)
 
 
-def _allocating(formula, v):
-    """``formula(v, out)`` into a new float array ``out`` shaped like ``v``:
-    ``v`` is taken as a float array, and a scalar ``v`` gives a Python float."""
+def _allocating(bind, v):
+    """Run the kernel ``bind(v, out)`` binds, with ``out`` a new float array
+    shaped like ``v``: ``v`` is taken as a float array, and a scalar ``v``
+    gives a Python float."""
     v = np.asarray(v, dtype=float)
-    x = formula(v, np.empty(v.shape))
-    return float(x) if x.ndim == 0 else x
+    out = np.empty(v.shape)
+    bind(v, out)()
+    return float(out) if out.ndim == 0 else out
 
 
 def _evaluated(evaluator, v, out):
@@ -103,14 +105,8 @@ class KineticsModel:
     workspace.  So each closed form is written once, as the kernel's list
     of ufunc calls, and each element takes the operations of the closed
     forms above in their order.  Custom kinds bind their evaluators and
-    copy the results in.
-
-    ``F`` and ``f`` take an optional ``out=``, a float array of the
-    result's shape that shares no memory with ``v``, which receives the
-    values and is returned.  The builtin kinds then allocate nothing
-    (``f`` needs a ``scratch`` array of the same kind for mu*v, or
-    allocates one).  Without ``out=`` the result goes to a new array;
-    scalar ``v`` gives a Python float.
+    copy the results in.  ``F`` and ``f`` return a new array; scalar ``v``
+    gives a Python float.
     """
 
     kind: KineticsKind
@@ -237,11 +233,8 @@ class KineticsModel:
 
     # Functional response and prey kinetics -------------------------------
 
-    def F(self, v, out=None):
-        if out is None:
-            return _allocating(self.F, v)
-        self._kernel(v, F=out)()
-        return out
+    def F(self, v):
+        return _allocating(lambda v, out: self._kernel(v, F=out), v)
 
     def F_prime(self, v):
         if self.kind is KineticsKind.LOTKA_VOLTERRA:
@@ -250,11 +243,8 @@ class KineticsModel:
             return self.lam / (self.lam + v) ** 2
         return self.Fp_eval(v)
 
-    def f(self, v, out=None, scratch=None):
-        if out is None:
-            return _allocating(self.f, v)
-        self._kernel(v, f=out, scratch=scratch)()
-        return out
+    def f(self, v):
+        return _allocating(lambda v, out: self._kernel(v, f=out), v)
 
     def f_prime(self, v):
         if self.kind is KineticsKind.CUSTOM:
@@ -354,17 +344,9 @@ class MotilityModel:
     def chi(self, v):
         return self.d_and_chi(v)[1]
 
-    def d_and_chi(self, v, out=None):
+    def d_and_chi(self, v):
         """(d(v), chi(v)): the one evaluator of every kind, bound by
-        ``_kernel``.
-
-        Scalar ``v`` gives Python floats.  ``out``, a pair of float arrays
-        shaped like ``v``, receives (d, chi) and is returned; no kind then
-        allocates.
-        """
-        if out is not None:
-            self._kernel(v, *out)()
-            return out
+        ``_kernel``.  Scalar ``v`` gives Python floats."""
         v = np.asarray(v, dtype=float)
         d, chi = np.empty(v.shape), np.empty(v.shape)
         self._kernel(v, d, chi)()
@@ -447,7 +429,7 @@ class EquilibriumSet:
         return (self.extinction, self.prey_only, self.coexistence)
 
 
-def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None, scratch=None):
+def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray):
     """Reaction rates (du, dv) on float arrays, without a domain guard.
 
         du = gamma*u*F(v) - theta*u - alpha*u*u
@@ -455,20 +437,13 @@ def reaction(kin: KineticsModel, u: np.ndarray, v: np.ndarray, out=None, scratch
 
     The integrator's stages may carry round-off-level negativity; its
     completed steps are checked separately.  ``eval_reaction`` is the
-    guarded form for arbitrary inputs.  ``out``, a pair of float arrays
-    of the result's shape that share no memory with ``u`` or ``v``,
-    receives (du, dv) and is returned.  ``scratch``, one more such array,
-    holds F(v) and then the loss terms; it is allocated when not given,
-    so with both the call allocates nothing for builtin kinetics.  The
-    rates are evaluated by a kernel of ``KineticsModel._kernel``, the one
-    the solver binds once per workspace, with F and f included; each
-    element takes the operations of the expressions above in their order.
+    guarded form for arbitrary inputs.  The rates are evaluated by a
+    kernel of ``KineticsModel._kernel``, the one the solver binds once per
+    workspace, with F and f included; each element takes the operations of
+    the expressions above in their order.
     """
-    if out is None:
-        shape = np.broadcast(u, v).shape
-        out = (np.empty(shape), np.empty(shape))
-    du, dv = out
-    Fv = np.empty_like(du) if scratch is None else scratch
+    shape = np.broadcast(u, v).shape
+    du, dv, Fv = np.empty(shape), np.empty(shape), np.empty(shape)
     kin._kernel(v, F=Fv, f=dv, scratch=du, u=u, du=du)()
     return du, dv
 

@@ -10,7 +10,7 @@ from helpers import reference_csv_text, run_fresh_python
 from preytaxis_lab import cli
 from preytaxis_lab.cli import main
 from preytaxis_lab.diagnostics import classify_pattern
-from preytaxis_lab.model import compute_equilibria
+from preytaxis_lab.model import check_hypotheses, compute_equilibria
 from preytaxis_lab.solver import (
     BlowUpError,
     Grid1D,
@@ -174,6 +174,43 @@ class TestDispersionCommand:
     def test_missing_coexistence_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, CASE1.replace("gamma = 2", "gamma = 1"))
         assert main(["dispersion", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    def test_case1_bands_and_min_stabilizing_D(self, tmp_path):
+        cfg = write_config(tmp_path, CASE1)
+        out = str(tmp_path / "out")
+        assert main(["dispersion", "--config", cfg, "--out", out]) == 0
+        manifest = read_manifest(out)
+        assert manifest["bands"]["steady"] is None
+        assert manifest["bands"]["hopf"] == pytest.approx([0.0, 9.7059], abs=1e-4)
+        # beta1 = 1/8 > 0: the homogeneous mode grows at every D
+        assert manifest["min_stabilizing_D"] == {
+            "D_min": None, "homogeneous_mode_unstable": True,
+        }
+
+    def test_case3_hopf_band_is_unbounded(self, tmp_path):
+        # d3 at D = 0.1 puts D - d* at exactly zero: the discriminant is
+        # linear in k^2 and negative from 0 on
+        cfg = write_config(tmp_path, CASE1.replace("kind = d1", "kind = d3"))
+        out = str(tmp_path / "out")
+        assert main(["dispersion", "--config", cfg, "--out", out]) == 0
+        assert read_manifest(out)["bands"]["hopf"] == [0.0, None]
+
+    def test_case2_steady_band_holds_the_unstable_modes(self, tmp_path):
+        cfg = write_config(tmp_path, CASE2_ANALYSIS)
+        out = str(tmp_path / "out")
+        assert main(["dispersion", "--config", cfg, "--out", out]) == 0
+        lo, hi = read_manifest(out)["bands"]["steady"]
+        _, rows = read_csv(os.path.join(out, "modes.csv"))
+        k2 = [float(r[1]) ** 2 for r in rows if r[2] == "steady_unstable"]
+        assert k2 and lo < min(k2) and max(k2) < hi
+
+    def test_lotka_volterra_has_bands_but_no_min_stabilizing_D(self, tmp_path):
+        cfg = write_config(tmp_path, CASE1.replace("kind = rm", "kind = lv"))
+        out = str(tmp_path / "out")
+        assert main(["dispersion", "--config", cfg, "--out", out]) == 0
+        manifest = read_manifest(out)
+        assert "bands" in manifest
+        assert "min_stabilizing_D" not in manifest and "beta" not in manifest
 
 
 class TestBifurcationCommand:
@@ -479,7 +516,8 @@ class TestTrajectoryTablesMatchReferenceWriter:
             std_u=np.zeros(3), std_v=np.zeros(3), V2=np.array([math.nan, -0.0, math.inf])
         )
         traj = Trajectory(grid, snapshots, TimeSeries(**columns))
-        run = cli._Run(cli.RunConfig(out_dir=str(tmp_path)), "simulate")
+        rc = cli.RunConfig(out_dir=str(tmp_path))
+        run = cli._Run(rc, "simulate", *cli.build_models(rc))
         cli._write_trajectory(run, traj)
         assert_trajectory_csvs(str(tmp_path), traj, run.files)
         with open(tmp_path / "snapshots.csv", encoding="utf-8") as fh:
@@ -790,6 +828,66 @@ class TestConfigTable:
                 "D": [0.1], "eta_grid_points": 200,
             },
             "output": {},
+        }
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+SHIPPED = ("case1", "case2", "case3", "decay")
+COMMANDS = ("equilibria", "dispersion", "bifurcation", "simulate", "sweep")
+
+
+class TestManifestResults:
+    """Every subcommand's manifest is strict JSON and records the
+    hypothesis check of its models."""
+
+    @staticmethod
+    def expected_hypotheses(rc):
+        kin, mot = cli.build_models(rc)
+        report = check_hypotheses(kin, mot, 2.0 * kin.K)
+        out = {"v_max": 2.0 * kin.K, "n_samples": report.n_samples}
+        for name in ("h1", "h2", "h3", "h4"):
+            f = getattr(report, name)
+            out[name.upper()] = {
+                "status": f.status.value, "inequality": f.inequality,
+                "witness": f.witness, "violation": f.violation,
+            }
+        return out
+
+    @pytest.mark.parametrize("case", SHIPPED)
+    def test_every_subcommand_writes_strict_json(self, tmp_path, case):
+        with open(os.path.join(CONFIGS, f"{case}.ini"), encoding="utf-8") as fh:
+            body = set_key(fh.read(), "solver", "t_end", "0.5")
+        short = write_config(tmp_path, body, "short.ini")
+        sweep = write_config(tmp_path, set_key(body, "analysis", "D", "0.05, 0.1"), "sweep.ini")
+        expected = self.expected_hypotheses(cli.load_config(short))
+        no_coexistence = case == "decay"
+        for command in COMMANDS:
+            out = str(tmp_path / command)
+            cfg = sweep if command == "sweep" else short
+            code = main([command, "--config", cfg, "--out", out])
+            if no_coexistence and command in ("dispersion", "bifurcation"):
+                assert code == 4 and not os.path.exists(out)
+                continue
+            assert code == (4 if no_coexistence and command == "sweep" else 0)
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                manifest = json.load(fh, parse_constant=_reject_constant)
+            assert manifest["command"] == command
+            assert manifest["hypotheses"] == expected
+            assert ("bands" in manifest) == (command == "dispersion")
+
+    def test_case1_fails_h4_and_samples_beyond_K(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["equilibria", "--config", os.path.join(CONFIGS, "case1.ini"), "--out", out]) == 0
+        hypotheses = read_manifest(out)["hypotheses"]
+        assert hypotheses["v_max"] == 8.0
+        assert hypotheses["H4"]["status"] == "fails"
+        assert hypotheses["H4"]["inequality"] == "phi'(v) < 0"
+        # the range reaches past K = 4, so H3's last clause is checked
+        assert hypotheses["H3"] == {
+            "status": "holds", "inequality": None, "witness": None, "violation": None,
         }
 
 

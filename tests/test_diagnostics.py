@@ -16,7 +16,6 @@ from preytaxis_lab.diagnostics import (
     lyapunov_v1,
     lyapunov_v2,
     zeta,
-    zeta_bounds_check,
     zeta_by_quadrature,
 )
 from preytaxis_lab.model import (
@@ -106,8 +105,13 @@ class TestZeta:
             assert np.max(rel) < 1e-2
 
     def test_bounds_hold_near_reference(self):
-        rep = zeta_bounds_check(CP_KIN, 1.0, delta=0.2, n_samples=1000)
-        assert rep.holds_lower and rep.holds_upper
+        # F'(w)/(4F(w)) (v-w)^2 <= Z_w(v) <= F'(w)/F(w) (v-w)^2 on [w - 0.2w, w + 0.2w]
+        for kin, w in ((CP_KIN, 1.0), (LV, 2.0)):
+            v = np.linspace(0.8 * w, 1.2 * w, 1000)
+            z = zeta(kin, w, v)
+            square = (float(kin.F_prime(w)) / float(kin.F(w))) * (v - w) ** 2
+            assert np.max(square / 4.0 - z) <= 1e-12
+            assert np.max(z - square) <= 1e-12
 
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):

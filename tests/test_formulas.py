@@ -303,10 +303,10 @@ def test_global_stability_report_evaluates_each_coefficient_once_on_the_grid(mon
     )
     d_and_chi = MotilityModel.d_and_chi
 
-    def counted_d_and_chi(self, v, out=None):
+    def counted_d_and_chi(self, v):
         if np.size(v) == 10_001:
             grid_calls["d_and_chi"] += 1
-        return d_and_chi(self, v, out)
+        return d_and_chi(self, v)
 
     monkeypatch.setattr(MotilityModel, "d_and_chi", counted_d_and_chi)
     rep = global_stability_report(kin, MotilityModel.d1(), 0.3, 4.0)
@@ -318,9 +318,9 @@ def test_check_hypotheses_evaluates_builtin_motility_once(monkeypatch):
     calls = []
     d_and_chi = MotilityModel.d_and_chi
 
-    def counted(self, v, out=None):
+    def counted(self, v):
         calls.append(np.shape(v))
-        return d_and_chi(self, v, out)
+        return d_and_chi(self, v)
 
     monkeypatch.setattr(MotilityModel, "d_and_chi", counted)
     rep = check_hypotheses(KINETICS["rm"][0], MotilityModel.d1(), 4.0, 400)

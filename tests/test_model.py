@@ -90,9 +90,22 @@ LV_KIN = KineticsModel.lotka_volterra(2.0, 1.0, 0.1, 1.3, 4.0)
 RM_KIN = KineticsModel.rosenzweig_macarthur(2.0, 1.0, 1.3, 4.0, 0.7)
 
 
+def bound_F(kin, v, out):
+    """F(v) into ``out`` through the kernel the solver binds."""
+    kin._kernel(v, F=out)()
+    return out
+
+
+def bound_f(kin, v, out, scratch=None):
+    """f(v) into ``out`` through the kernel the solver binds."""
+    kin._kernel(v, f=out, scratch=scratch)()
+    return out
+
+
 class TestKineticsOut:
-    """F and f with ``out=`` write the closed forms into the caller's
-    buffer bit for bit; the scalar path keeps returning Python floats."""
+    """The kinetics kernel writes the closed forms of F and f into the
+    caller's buffers bit for bit, and the allocating calls agree with it;
+    the scalar path keeps returning Python floats."""
 
     # the closed forms, written out with the models' float parameters
     CLOSED_F = {
@@ -111,10 +124,9 @@ class TestKineticsOut:
         with np.errstate(all="ignore"):
             F_ref, f_ref = self.CLOSED_F[name](v), self.CLOSED_f[name](v)
             out, scratch = np.full_like(v, 9.0), np.full_like(v, 9.0)
-            assert kin.F(v, out=out) is out and same_bits(out, F_ref)
-            assert kin.f(v, out=out, scratch=scratch) is out and same_bits(out, f_ref)
-            fresh = np.full_like(v, 9.0)
-            assert kin.f(v, out=fresh) is fresh and same_bits(fresh, f_ref)
+            assert same_bits(bound_F(kin, v, out), F_ref)
+            assert same_bits(bound_f(kin, v, out, scratch), f_ref)
+            assert same_bits(bound_f(kin, v, np.full_like(v, 9.0)), f_ref)
             # the allocating path agrees with both
             assert same_bits(kin.F(v), F_ref) and same_bits(kin.f(v), f_ref)
         assert same_bits(v, V_SAMPLES)  # the input is left alone
@@ -127,8 +139,8 @@ class TestKineticsOut:
             F, f = kin.F(x), kin.f(x)
             assert type(F) is float and F == self.CLOSED_F[name](x)
             assert type(f) is float and f == self.CLOSED_f[name](x)
-            assert same_bits(kin.F(np.array([x]), out=out), [F])
-            assert same_bits(kin.f(np.array([x]), out=out, scratch=np.empty(1)), [f])
+            assert same_bits(bound_F(kin, np.array([x]), out), [F])
+            assert same_bits(bound_f(kin, np.array([x]), out, np.empty(1)), [f])
 
     # F(x) and f(x) at x = 0, 0.7, 2.5 and the coexistence state (u, v),
     # as float.hex, from the release before the scalar path let the
@@ -167,14 +179,16 @@ class TestKineticsOut:
             assert type(F) is float and F == float.fromhex(F_hex)
             assert type(f) is float and f == float.fromhex(f_hex)
             out = np.empty(1)
-            assert same_bits(kin.F(np.array([x]), out=out), [F])
-            assert same_bits(kin.f(np.array([x]), out=out), [f])
+            assert same_bits(bound_F(kin, np.array([x]), out), [F])
+            assert same_bits(bound_f(kin, np.array([x]), out), [f])
         co = compute_equilibria(kin).coexistence
         assert (co.u, co.v) == (float.fromhex(u_star), float.fromhex(v_star))
 
-        def through_out(formula, v):
+        def through_out(bind, v):
             # every scalar F and f evaluated on a one-cell buffer
-            return float(formula(np.array([v], dtype=float), np.empty(1))[0])
+            out = np.empty(1)
+            bind(np.array([v], dtype=float), out)()
+            return float(out[0])
 
         monkeypatch.setattr(model, "_allocating", through_out)
         assert compute_equilibria(kin).coexistence == co
@@ -191,8 +205,9 @@ class TestKineticsOut:
                 F_ref = np.broadcast_to(kin.F_eval(v), v.shape)
                 f_ref = np.broadcast_to(kin.f_eval(v), v.shape)
                 out, scratch = np.full_like(v, 9.0), np.full_like(v, 9.0)
-                assert kin.F(v, out=out) is out and same_bits(out, F_ref)
-                assert kin.f(v, out=out, scratch=scratch) is out and same_bits(out, f_ref)
+                assert same_bits(bound_F(kin, v, out), F_ref)
+                assert same_bits(bound_f(kin, v, out, scratch), f_ref)
+                assert same_bits(kin.F(v), F_ref) and same_bits(kin.f(v), f_ref)
         assert type(flat.F(1.0)) is float and flat.F(1.0) == 0.25
 
     @pytest.mark.parametrize(
@@ -206,9 +221,9 @@ class TestKineticsOut:
         Fv = kin.F(v)
         assert same_bits(du_ref, kin.gamma * u * Fv - kin.theta * u - kin.alpha * u * u)
         assert same_bits(dv_ref, kin.f(v) - u * Fv)
-        out, scratch = (np.full(64, 9.0), np.full(64, 9.0)), np.full(64, 9.0)
-        du, dv = reaction(kin, u, v, out=out, scratch=scratch)
-        assert du is out[0] and dv is out[1]
+        # the kernel the solver binds, into caller buffers with F as scratch
+        du, dv, Fv = np.full(64, 9.0), np.full(64, 9.0), np.full(64, 9.0)
+        kin._kernel(v, F=Fv, f=dv, scratch=du, u=u, du=du)()
         assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
 
 
@@ -219,7 +234,7 @@ class TestKineticsOut:
         kin = rm(alpha=alpha)
         u = np.array([0.0, -0.0, 0.0, 1.5, 2.0])
         v = np.array([-0.0, -0.0, 0.3, 2.0, 1e-300])
-        du, _ = reaction(kin, u, v, out=(np.empty(5), np.empty(5)), scratch=np.empty(5))
+        du, _ = reaction(kin, u, v)
         assert same_bits(du, kin.gamma * u * kin.F(v) - kin.theta * u - kin.alpha * u * u)
         assert (math.copysign(1.0, du[0]) > 0.0) == (math.copysign(1.0, alpha) < 0.0)
 

@@ -26,6 +26,7 @@ from preytaxis_lab.model import (
     Equilibrium,
     EquilibriumKind,
     KineticsModel,
+    MotilityKind,
     MotilityModel,
     compute_equilibria,
 )
@@ -1081,3 +1082,79 @@ class TestSeriesRecorder:
         assert np.array_equal(stacked, [reference_lyapunov_v1(a, b, kin, h) for a, b in zip(u, v)])
         stacked = lyapunov_v2(u, v, kin, co, h)
         assert np.array_equal(stacked, [reference_lyapunov_v2(a, b, kin, co, h) for a, b in zip(u, v)])
+
+
+# (m, r) of the builtin motilities d(v) = 1/(m + exp(r(v - 1))), chi = -d'
+LOGISTIC = {"d1": (1.0, 2.0), "d2": (1.0, 0.1), "d3": (9.0, 2.0)}
+
+
+def _smooth_state(x, ell):
+    u = 1.5 * (1.0 + 0.3 * np.cos(math.pi * x / ell) + 0.1 * np.cos(3 * math.pi * x / ell))
+    v = 1.0 + 0.2 * np.cos(2 * math.pi * x / ell)
+    return u, v
+
+
+def _exact_operator(kind, x, ell, D):
+    """The PDE's right-hand side at x, derived by hand for _smooth_state and
+    RM kinetics (gamma, theta, mu, K, lam) = (2, 1, 1, 4, 1):
+
+        u_t = d u_xx - 2 chi u_x v_x - u chi' v_x^2 - u chi v_xx + 2uF - u
+        v_t = D v_xx + v(1 - v/4) - uF,      F = v/(1 + v),
+
+    with d = 1/(m + w), chi = r w/(m + w)^2, chi' = r^2 w (m - w)/(m + w)^3
+    and w = exp(r(v - 1))."""
+    m, r = LOGISTIC[kind]
+    a = math.pi / ell
+    u, v = _smooth_state(x, ell)
+    u_x = -1.5 * (0.3 * a * np.sin(a * x) + 0.3 * a * np.sin(3 * a * x))
+    u_xx = -1.5 * (0.3 * a * a * np.cos(a * x) + 0.9 * a * a * np.cos(3 * a * x))
+    v_x = -0.4 * a * np.sin(2 * a * x)
+    v_xx = -0.8 * a * a * np.cos(2 * a * x)
+    w = np.exp(r * (v - 1.0))
+    d = 1.0 / (m + w)
+    chi = r * w / (m + w) ** 2
+    chi_p = r * r * w * (m - w) / (m + w) ** 3
+    F = v / (1.0 + v)
+    du = d * u_xx - 2.0 * chi * u_x * v_x - u * chi_p * v_x**2 - u * chi * v_xx
+    du += 2.0 * u * F - u
+    dv = D * v_xx + v * (1.0 - v / 4.0) - u * F
+    return du, dv
+
+
+class TestConvergenceOrders:
+    """Independent oracles for the discretisation: the semi-discrete
+    right-hand side converges to the exact operator at second order in h,
+    and RK4 converges at fourth order in dt."""
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_rhs_converges_to_the_exact_operator_at_second_order(self, kind):
+        ell = 8 * math.pi
+        errors = []
+        for n in (64, 128, 256, 512):
+            grid = Grid1D(ell, n)
+            x = grid.centers()
+            cfg = cp_config(mot=MotilityModel(MotilityKind(kind)), grid=grid)
+            du, dv = rhs(State(0.0, *_smooth_state(x, ell)), cfg)
+            du_ref, dv_ref = _exact_operator(kind, x, ell, 0.1)
+            errors.append(max(np.max(np.abs(du - du_ref)), np.max(np.abs(dv - dv_ref))))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((orders >= 1.95) & (orders <= 2.05)), orders
+
+    @pytest.mark.parametrize("n_cells", [16, 32])
+    def test_rk4_converges_at_fourth_order(self, n_cells):
+        ell = 8 * math.pi
+        grid = Grid1D(ell, n_cells)
+        cfg = cp_config(grid=grid)
+        u0, v0 = _smooth_state(grid.centers(), ell)
+        T = 8 * stable_dt(State(0.0, u0, v0), cfg)
+
+        def advance(steps):
+            u, v, dt = u0, v0, T / steps
+            for _ in range(steps):
+                u, v = rk4_step(cfg, u, v, dt)
+            return np.concatenate((u, v))
+
+        reference = advance(512)
+        errors = np.array([np.max(np.abs(advance(s) - reference)) for s in (8, 16, 32, 64)])
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.all((orders >= 3.8) & (orders <= 4.2)), orders
