@@ -680,8 +680,9 @@ def cmd_sweep(rc: RunConfig, simulate: bool = False) -> int:
     run.csv("sweep.csv", header, _table(rows))
     failures = sum(1 for r in results if r[5])
     run.extra["failed_rows"] = failures
-    run.finish()
-    if failures == len(results):
+    all_failed = failures == len(results)
+    run.finish(status="failed" if all_failed else "ok")
+    if all_failed:
         print("error: every sweep row failed", file=sys.stderr)
         return EXIT_NO_EQUILIBRIUM
     return EXIT_OK

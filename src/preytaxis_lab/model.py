@@ -315,6 +315,23 @@ class MotilityModel:
         """(m, r) of a builtin kind, None for the constant kind; looked up once."""
         return _LOGISTIC_OPERANDS.get(self.kind)
 
+    @cached_property
+    def sup_d_chi(self) -> tuple[float, float]:
+        """(sup d, sup |chi|) over every v, as floats.
+
+        The builtin kinds have d = 1/(m + w) and chi = r*w/(m + w)^2 with
+        w = exp(.) >= 0, so d <= 1/m and chi <= r/(4m), its value at w = m.
+        The computed d is <= 1/m to the bit (m + w >= m, and division is
+        correctly rounded and monotone); the computed chi can exceed r/(4m)
+        by a few roundings, which a caller that needs a strict bound covers
+        with a margin.  The constant kind has d_const and |chi_const|.
+        """
+        params = self._logistic_operands
+        if params is None:
+            return float(self.d_const), abs(float(self.chi_const))
+        m, r = map(float, params)
+        return 1.0 / m, r / (4.0 * m)
+
     @staticmethod
     def d1() -> "MotilityModel":
         return MotilityModel(MotilityKind.D1)

@@ -39,7 +39,18 @@ interval in ``integrate``; and it returns the new state as the (2, n)
 cells of one new (2, n + 1) block, which ``integrate`` checks with one
 maximum and one minimum reduction, on the cells alone.  ``stable_dt``
 runs a kernel of the same workspace, in buffers of its own, and divides
-the largest advective term by h once.  Three lookups stay at call time,
+the largest advective term by h once.
+
+``integrate`` runs that kernel only where it can change the result.  An
+output interval takes n_sub = max(1, ceil(interval / dt_cfl)) equal
+steps, so dt_cfl enters the result through that integer alone.  The
+workspace brackets dt_cfl from run constants and one number of the
+state: above by safety*h^2/(2D), below by the motility model's sup d and
+sup |chi| with the max minus the min of the state over both fields,
+which the step guard has already computed.  Where both ends give the same
+n_sub the kernel would give it too, so ``integrate`` takes it without
+the kernel and every bit of the result is the same; where they differ it
+calls ``stable_dt``.  Three lookups stay at call time,
 so wrappers bound in this module by name see every call: ``integrate``
 looks up ``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
 ``_rhs_arrays``, which picks the start-state or the stage kernel by the
@@ -313,10 +324,11 @@ class _Workspace:
     Two right-hand-side kernels are bound: ``start`` reads ``y0`` and
     writes k1 straight into ``acc``, and ``stage`` reads ``y`` and writes
     ``dy``; each returns the (2, n) cells of what it wrote, ``k1`` or
-    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own.
-    Each kernel is a closure over every buffer, view, 0-d operand, ufunc
-    and model kernel it uses, so a call makes no attribute lookup and no
-    dispatch on the model kinds.
+    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own,
+    and ``dt_lower`` and ``dt_upper`` bracket its result (see
+    ``_bind_dt_bracket``).  Each kernel is a closure over every buffer,
+    view, 0-d operand, ufunc and model kernel it uses, so a call makes no
+    attribute lookup and no dispatch on the model kinds.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -381,6 +393,7 @@ class _Workspace:
         self.start = bind_rhs(self.y0, self.acc, self.k1)
         self.stage = bind_rhs(self.y, self.dy, self.k)
         self.stable_dt = _bind_stable_dt(cfg, half)
+        self.dt_lower, self.dt_upper = _bind_dt_bracket(cfg)
 
 
 def _bind_stable_dt(cfg: SolverConfig, half: np.ndarray):
@@ -418,6 +431,44 @@ def _bind_stable_dt(cfg: SolverConfig, half: np.ndarray):
         return safety * min(dt_diff, dt_adv)
 
     return stable_dt
+
+
+# Relative margin of the bracket's lower end on ``stable_dt``: it covers
+# the few roundings (each <= 1.1e-16 relative) by which the computed chi
+# and the bracket's own arithmetic can stray from the exact bound.
+_BRACKET_MARGIN = 1e-12
+
+
+def _bind_dt_bracket(cfg: SolverConfig):
+    """The workspace's bracket on the ``stable_dt`` kernel's result:
+    ``(lower, upper)``, where ``lower(spread)`` takes the max minus the min
+    of a state over both fields and ``upper`` is a run constant.
+
+    ``upper`` is safety*h^2/(2D) in the kernel's order of operations:
+    max(d, D) >= D, and every later operation is correctly rounded and
+    monotone, so it is >= the kernel's result to the bit.  ``lower`` is
+    safety*min(h^2/(2 max(sup d, D)), h/(sup|chi|*spread/h)) with the
+    motility model's ``sup_d_chi``: every |v[i+1] - v[i]| is at most the
+    spread, so this is <= the kernel's result; sup|chi| is raised and the
+    result lowered by ``_BRACKET_MARGIN``, which covers the roundings of
+    the computed chi and of both expressions.
+
+    For an interval of length delta and n = max(1, ceil(delta/upper)),
+    delta <= n*lower(spread) means the kernel's count
+    max(1, ceil(delta/dt_cfl)) is n as well: lower's margin keeps
+    delta/dt_cfl below n through the rounding of n*lower.
+    """
+    h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
+    d_sup, chi_sup = cfg.mot.sup_d_chi
+    upper = safety * (h * h / (2.0 * D))
+    dt_diff = h * h / (2.0 * max(d_sup, D))
+    rate = chi_sup * (1.0 + _BRACKET_MARGIN) / h
+    shrink = safety * (1.0 - _BRACKET_MARGIN)
+
+    def lower(spread):
+        return shrink * min(dt_diff, h / (rate * spread + 1e-300))
+
+    return lower, upper
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -458,7 +509,9 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     covers the cells (for d) and the faces (for chi) together.  Every
     temporary is a buffer of the config's workspace, and each element takes
     the operations of the plain expressions 0.5*(v[1:] + v[:-1]) and
-    abs(chi*(v[1:] - v[:-1])/h) in their order."""
+    abs(chi*(v[1:] - v[:-1])/h) in their order.  ``integrate`` calls it on
+    the output intervals whose step count the workspace's bracket leaves
+    open."""
     return cfg._workspace.stable_dt(state.v)
 
 
@@ -599,8 +652,11 @@ class _SeriesRecorder:
     in ``finalize`` (which a guard error reaches too), each quantity takes
     one NumPy call over the block's stacked states, reducing along the
     contiguous cell axis, so every row gets the pairwise sums a single
-    state would.  V1 and V2 take one call each on the rows that meet their
-    preconditions; they are looked up in this module at call time.
+    state would.  The squared deviations from the base and from the mean
+    (the operations ``np.std`` makes) go into one block-sized scratch.  V1
+    and V2 take one call each on the rows that meet their preconditions,
+    as views of the block when every row does; they are looked up in this
+    module at call time.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -609,6 +665,7 @@ class _SeriesRecorder:
         self.base = np.stack(cfg.base_arrays())
         self.co = cfg.coexistence_base()
         self.block = np.empty((_SERIES_BLOCK, 2, cfg.grid.n_cells))
+        self.dev = np.empty_like(self.block)  # deviations scratch of a flush
         self.cols = np.empty((13, cfg.series_count))  # one row per TimeSeries field
         self.count = 0  # rows recorded
         self.flushed = 0  # rows whose diagnostics are in cols
@@ -627,28 +684,40 @@ class _SeriesRecorder:
         self.flushed = hi
         if hi == lo:
             return
-        h, y = self.h, self.block[: hi - lo]
+        h, y, dev = self.h, self.block[: hi - lo], self.dev[: hi - lo]
+        n = y.shape[-1]
         # c's rows are TimeSeries' fields: t, mass_u, mass_v, min_u, max_u,
         # min_v, max_v, l2_dev_u, l2_dev_v, std_u, std_v, V1, V2
         c = self.cols[:, lo:hi]
         lows = np.min(y, axis=-1)
-        c[1:3] = (h * np.sum(y, axis=-1)).T
+        sums = np.sum(y, axis=-1)
+        c[1:3] = (h * sums).T
         c[3:7:2] = lows.T
         c[4:7:2] = np.max(y, axis=-1).T
-        c[7:9] = np.sqrt(h * np.sum((y - self.base) ** 2, axis=-1)).T
-        c[9:11] = np.std(y, axis=-1).T
+        np.subtract(y, self.base, out=dev)
+        np.square(dev, out=dev)
+        c[7:9] = np.sqrt(h * np.sum(dev, axis=-1)).T
+        # np.std's operations: the sum over n as the mean, the squared
+        # deviations from it, their sum over n, the square root
+        np.subtract(y, (sums / n)[..., None], out=dev)
+        np.square(dev, out=dev)
+        c[9:11] = np.sqrt(np.sum(dev, axis=-1) / n).T
         c[11:13] = math.nan
+        # with every row qualifying, row views of the block stand in for
+        # masked copies, so a flush holds no copy beside the scratch
         ok = lows[:, 1] > 0.0
         if ok.any():
+            rows = slice(None) if ok.all() else ok
             try:
-                c[11, ok] = lyapunov_v1(y[ok, 0], y[ok, 1], self.kin, h)
+                c[11, rows] = lyapunov_v1(y[rows, 0], y[rows, 1], self.kin, h)
             except ValueError:
                 pass
         if self.co is not None:
             ok &= lows[:, 0] > 0.0
             if ok.any():
+                rows = slice(None) if ok.all() else ok
                 try:
-                    c[12, ok] = lyapunov_v2(y[ok, 0], y[ok, 1], self.kin, self.co, h)
+                    c[12, rows] = lyapunov_v2(y[rows, 0], y[rows, 1], self.kin, self.co, h)
                 except ValueError:
                     pass
 
@@ -685,12 +754,18 @@ def _guard_error(t, u, v, grid, snapshots, rec) -> _GuardError:
 def integrate(cfg: SolverConfig) -> Trajectory:
     """Advance the system to t_end, recording snapshots and scalar series.
 
-    The CFL step is recomputed at every output interval and subdivided so
-    steps land exactly on output times.  Raises BlowUpError (fields beyond
-    1e6 or non-finite) or NonPhysicalError (densities below -1e-8); both
-    carry the partial trajectory, the time the failing step reached (0
-    for a start state that fails the guard), and the guard, cell and value
-    that tripped.
+    Each output interval is split into n_sub = max(1, ceil(interval /
+    dt_cfl)) equal steps, with dt_cfl the CFL step of the interval's start
+    state, so steps land exactly on output times.  The workspace's bracket
+    on dt_cfl (run constants and the max minus min of the state, which the
+    step guard computes) gives n_sub without the ``stable_dt`` kernel when
+    its two ends agree: it is the kernel's count then, so the result keeps
+    every bit.  ``stable_dt`` runs only on intervals where the ends differ.
+
+    Raises BlowUpError (fields beyond 1e6 or non-finite) or
+    NonPhysicalError (densities below -1e-8); both carry the partial
+    trajectory, the time the failing step reached (0 for a start state that
+    fails the guard), and the guard, cell and value that tripped.
     """
     state = init_state(cfg)
     u, v = state.u, state.v
@@ -708,23 +783,30 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     # start state is checked like a step's result, before it is recorded.
     largest, smallest = np.maximum.reduce, np.minimum.reduce
     y = np.stack((u, v))
-    if not (largest(y, None) <= BLOWUP_LIMIT and smallest(y, None) >= NEGATIVITY_LIMIT):
+    hi, lo = largest(y, None), smallest(y, None)
+    if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
         raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec)
     rec.record(0.0, y)
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
     step = rk4_step if cfg.scheme == "rk4" else imex_step
+    dt_lower, dt_upper = cfg._workspace.dt_lower, cfg._workspace.dt_upper
     t = 0.0
     for idx in range(1, events.size):
         t_next = float(events[idx])
-        dt_cfl = stable_dt(State(t, u, v), cfg)
-        n_sub = max(1, math.ceil((t_next - t) / dt_cfl))
-        dt = (t_next - t) / n_sub
+        delta = t_next - t
+        # dt depends on stable_dt only through n_sub, and where the
+        # bracket fixes n_sub the kernel would give the same count
+        n_sub = max(1, math.ceil(delta / dt_upper))
+        if delta > n_sub * dt_lower(float(hi - lo)):
+            n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
+        dt = delta / n_sub
         for i in range(n_sub):
             # imex_step, and a wrapper bound over rk4_step, may return a (u, v) pair
             y = np.asarray(step(cfg, u, v, dt))
             u, v = y
-            if not (largest(y, None) <= BLOWUP_LIMIT and smallest(y, None) >= NEGATIVITY_LIMIT):
+            hi, lo = largest(y, None), smallest(y, None)
+            if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
                 raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
         t = t_next
         if in_series[idx]:

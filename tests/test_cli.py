@@ -589,6 +589,15 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, body)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_all_rows_failing_writes_status_failed(self, tmp_path):
+        # decay.ini has no coexistence state, so every row fails
+        with open(os.path.join(CONFIGS, "decay.ini"), encoding="utf-8") as fh:
+            body = set_key(fh.read(), "analysis", "D", "0.05, 0.1")
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", write_config(tmp_path, body), "--out", out]) == 4
+        manifest = read_manifest(out)
+        assert manifest["status"] == "failed" and manifest["failed_rows"] == 2
+
     def test_simulate_flag_adds_classification_column(self, tmp_path):
         body = SWEEP.replace("D = 0.0001,0.001,0.01", "D = 0.05,0.1")
         body = set_key(body, "domain", "length", "6.283185307179586")

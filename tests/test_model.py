@@ -394,6 +394,31 @@ class TestMotilityIdentities:
         for mot in (MotilityModel.d1(), MotilityModel.d2(), MotilityModel.d3()):
             assert np.all(mot.d(v) > 0.0)
 
+    @pytest.mark.parametrize(
+        "mot,sup",
+        [
+            (MotilityModel.d1(), (1.0, 0.5)),
+            (MotilityModel.d2(), (1.0, 0.025)),
+            (MotilityModel.d3(), (1.0 / 9.0, 2.0 / 36.0)),
+            (MotilityModel.constant(0.3, -2.5), (0.3, 2.5)),
+        ],
+        ids=["d1", "d2", "d3", "constant"],
+    )
+    def test_sup_d_chi_bounds_the_computed_values(self, mot, sup):
+        assert mot.sup_d_chi == sup
+        # dense around chi's peak at w = m, and out to the exponent cap
+        m, r = mot._logistic_operands or (1.0, 1.0)
+        peak = 1.0 + math.log(m) / r
+        v = np.concatenate(
+            [peak + np.linspace(-1e-3, 1e-3, 20001), np.linspace(-1e4, 1e4, 20001)]
+        )
+        d, chi = mot.d_and_chi(v)
+        d_sup, chi_sup = mot.sup_d_chi
+        assert np.max(d) <= d_sup  # to the bit
+        assert np.max(np.abs(chi)) <= chi_sup * (1.0 + 1e-14)
+        if mot._logistic_operands is not None:
+            assert np.max(chi) > chi_sup * (1.0 - 1e-12)  # the peak is attained
+
 
 class TestLogisticMotilityValues:
     """d, chi and d' of the builtin kinds, bit for bit against their closed

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 from scipy.integrate import solve_ivp
 
 from helpers import (
@@ -943,8 +945,9 @@ class TestLookupAtCallTime:
         for got, ref in zip(traj.snapshots, expected.snapshots, strict=True):
             assert got.t == ref.t and np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
         _assert_series_equal(traj.series, vars(expected.series))
-        # one stable_dt per output interval, ceil(interval / dt) steps in
-        # it and four right-hand sides per step
+        # one stable_dt per output interval (on this run the step bracket is
+        # open on every interval), ceil(interval / dt) steps in it and four
+        # right-hand sides per step
         events = np.union1d(
             np.linspace(0.0, cfg.t_end, cfg.series_count),
             np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
@@ -955,6 +958,131 @@ class TestLookupAtCallTime:
         )
         assert n_steps > len(calls["dt"])
         assert calls["step"] == n_steps and calls["rhs"] == 4 * n_steps
+
+
+def _bracket_state(rng, shape, mot, n):
+    """(u, v) of a flat, a steep or a large state for the bracket tests.
+
+    The steep state is two-valued in v, around the v where chi peaks (for
+    d1-d3; anywhere for the constant kind), with u inside v's range, so
+    max - min over both fields is exactly the largest face difference and
+    the bracket's advective end is tight.  Its jumps reach 2000, below
+    v = 0 too: for d1-d3 the advective bound binds only on such jumps, and
+    the bracket holds on any finite state."""
+    if shape == "flat":
+        u0, v0 = rng.uniform(0.1, 5.0, 2)
+        return u0 * (1.0 + 1e-6 * rng.uniform(-1, 1, n)), v0 * (1.0 + 1e-6 * rng.uniform(-1, 1, n))
+    if shape == "large":
+        return 10.0 ** rng.uniform(-8.0, 6.0, (2, n))
+    params = mot._logistic_operands
+    v_star = rng.uniform(0.5, 3.0) if params is None else 1.0 + math.log(params[0]) / params[1]
+    a = 10.0 ** rng.uniform(-3.0, 3.0)
+    v = np.where(np.arange(n) % 2 == rng.integers(2), v_star - a, v_star + a)
+    return rng.uniform(v_star - a, v_star + a, n), v
+
+
+def _reference_run(cfg):
+    """integrate as a plain interval loop over the reference kernels: the
+    CFL step of every interval, ceil(interval / step) equal steps in it.
+    Returns the snapshot and series states, and each interval's step count."""
+    st = init_state(cfg)
+    u, v = st.u, st.v
+    series_t = np.linspace(0.0, cfg.t_end, cfg.series_count)
+    snap_t = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)
+    events = np.union1d(series_t, snap_t)
+    snaps, series, counts = [(0.0, u, v)], [(0.0, u, v)], []
+    t = 0.0
+    for t_next in events[1:]:
+        t_next = float(t_next)
+        n_sub = max(1, math.ceil((t_next - t) / reference_stable_dt(State(t, u, v), cfg)))
+        dt = (t_next - t) / n_sub
+        for _ in range(n_sub):
+            u, v = reference_rk4_step(cfg, u, v, dt)
+        counts.append(n_sub)
+        t = t_next
+        if t in series_t:
+            series.append((t, u, v))
+        if t in snap_t:
+            snaps.append((t, u, v))
+    return snaps, series, counts
+
+
+class TestStepBracket:
+    """integrate takes an interval's step count from the workspace's bracket
+    on stable_dt when the bracket's two ends give the same count, and runs
+    the stable_dt kernel only when they differ."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=hyp.sampled_from(["d1", "d2", "d3", "constant"]),
+        d_const=hyp.floats(1e-3, 10.0),
+        chi_const=hyp.floats(-20.0, 20.0),
+        D=hyp.floats(1e-4, 30.0),
+        n=hyp.integers(8, 256),
+        ell=hyp.floats(0.1, 200.0),
+        cfl=hyp.floats(1e-6, 1.0),
+        shape=hyp.sampled_from(["flat", "steep", "large"]),
+        seed=hyp.integers(0, 2**32 - 1),
+    )
+    def test_bracket_holds_the_kernel_step_count(
+        self, kind, d_const, chi_const, D, n, ell, cfl, shape, seed
+    ):
+        if kind == "constant":
+            mot = MotilityModel.constant(d_const, chi_const)
+        else:
+            mot = MotilityModel(MotilityKind(kind))
+        cfg = cp_config(mot=mot, D=D, grid=Grid1D(ell, n), cfl_safety=cfl)
+        rng = np.random.default_rng(seed)
+        u, v = _bracket_state(rng, shape, mot, n)
+        dt = stable_dt(State(0.0, u, v), cfg)
+        y = np.stack((u, v))
+        ws = cfg._workspace
+        lower, upper = ws.dt_lower(float(y.max() - y.min())), ws.dt_upper
+        assert lower <= dt <= upper
+        # intervals at random and on both sides of the kernel's and the
+        # lower end's count boundaries, where a bound off by one rounding
+        # would change a count
+        deltas = list(dt * 10.0 ** rng.uniform(-3.0, 3.0, 4))
+        for k in (1, 2, 3, 7):
+            for edge in (k * dt, k * lower):
+                deltas += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+        for delta in map(float, deltas):
+            n_cfl = max(1, math.ceil(delta / dt))
+            n_lo = max(1, math.ceil(delta / upper))
+            assert n_lo <= n_cfl
+            if lower > 0.0 and delta / lower < math.inf:
+                n_hi = max(1, math.ceil(delta / lower))
+                assert n_cfl <= n_hi
+                if n_hi == n_lo:
+                    assert n_cfl == n_lo
+            if delta <= n_lo * lower:  # integrate's test for a closed bracket
+                assert n_cfl == n_lo
+
+    @pytest.mark.parametrize("D, steps", [(0.1, 1), (2.0, 2)], ids=["one-step", "D-above-sup-d"])
+    def test_determined_intervals_run_no_kernel(self, monkeypatch, D, steps):
+        # d1 at 128 cells: with D = 0.1 every 0.004 interval is below the
+        # lower end; with D = 2 >= sup d = 1 the two ends share the
+        # diffusive bound and differ by the margin only
+        cfg = cp_config(
+            D=D, grid=Grid1D(8 * math.pi, 128), t_end=0.5, series_count=126,
+            snapshot_count=6, perturbation=Perturbation(0.05, 2),
+        )
+        kernel, calls = solver.stable_dt, []
+
+        def counted(state, cfg):
+            calls.append(state.t)
+            return kernel(state, cfg)
+
+        monkeypatch.setattr(solver, "stable_dt", counted)
+        traj = integrate(cfg)
+        assert calls == []
+        snaps, series, counts = _reference_run(cfg)
+        assert max(counts) == steps  # (an event pair an ulp apart takes one)
+        assert len(traj.snapshots) == len(snaps)
+        for got, (t, u, v) in zip(traj.snapshots, snaps):
+            assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
+        for name, ref in reference_series(cfg, series).items():
+            assert same_bits(getattr(traj.series, name), ref), name
 
 
 class TestGuardErrorDetail:
@@ -1086,6 +1214,10 @@ class TestSeriesRecorder:
 
 # (m, r) of the builtin motilities d(v) = 1/(m + exp(r(v - 1))), chi = -d'
 LOGISTIC = {"d1": (1.0, 2.0), "d2": (1.0, 0.1), "d3": (9.0, 2.0)}
+# (d_const, chi_const) of the constant kind in the operator tests
+CONSTANT = (0.2, 0.4)
+# (gamma, theta, alpha, mu, K) of the LV kinetics in the operator tests
+LV = (2.0, 1.0, 0.1, 1.0, 4.0)
 
 
 def _smooth_state(x, ell):
@@ -1094,51 +1226,145 @@ def _smooth_state(x, ell):
     return u, v
 
 
-def _exact_operator(kind, x, ell, D):
-    """The PDE's right-hand side at x, derived by hand for _smooth_state and
-    RM kinetics (gamma, theta, mu, K, lam) = (2, 1, 1, 4, 1):
+def _exact_transport(kind, x, ell, D):
+    """The PDE's transport terms at x, derived by hand for _smooth_state:
 
-        u_t = d u_xx - 2 chi u_x v_x - u chi' v_x^2 - u chi v_xx + 2uF - u
-        v_t = D v_xx + v(1 - v/4) - uF,      F = v/(1 + v),
+        u_t = d u_xx + d' u_x v_x - chi u_x v_x - u chi' v_x^2 - u chi v_xx
+        v_t = D v_xx,
 
-    with d = 1/(m + w), chi = r w/(m + w)^2, chi' = r^2 w (m - w)/(m + w)^3
-    and w = exp(r(v - 1))."""
-    m, r = LOGISTIC[kind]
+    with d = 1/(m + w), chi = -d' = r w/(m + w)^2,
+    chi' = r^2 w (m - w)/(m + w)^3 and w = exp(r(v - 1)) for d1-d3, and
+    d = d_const, chi = chi_const, d' = chi' = 0 for the constant kind."""
     a = math.pi / ell
     u, v = _smooth_state(x, ell)
     u_x = -1.5 * (0.3 * a * np.sin(a * x) + 0.3 * a * np.sin(3 * a * x))
     u_xx = -1.5 * (0.3 * a * a * np.cos(a * x) + 0.9 * a * a * np.cos(3 * a * x))
     v_x = -0.4 * a * np.sin(2 * a * x)
     v_xx = -0.8 * a * a * np.cos(2 * a * x)
-    w = np.exp(r * (v - 1.0))
-    d = 1.0 / (m + w)
-    chi = r * w / (m + w) ** 2
-    chi_p = r * r * w * (m - w) / (m + w) ** 3
-    F = v / (1.0 + v)
-    du = d * u_xx - 2.0 * chi * u_x * v_x - u * chi_p * v_x**2 - u * chi * v_xx
-    du += 2.0 * u * F - u
-    dv = D * v_xx + v * (1.0 - v / 4.0) - u * F
-    return du, dv
+    if kind == "constant":
+        d, chi = CONSTANT
+        d_p = chi_p = 0.0
+    else:
+        m, r = LOGISTIC[kind]
+        w = np.exp(r * (v - 1.0))
+        d = 1.0 / (m + w)
+        chi = r * w / (m + w) ** 2
+        d_p = -chi
+        chi_p = r * r * w * (m - w) / (m + w) ** 3
+    du = d * u_xx + d_p * u_x * v_x - chi * u_x * v_x - u * chi_p * v_x**2 - u * chi * v_xx
+    return du, D * v_xx
+
+
+def _exact_reaction(kin_name, x, ell):
+    """The reaction terms at x for _smooth_state: gamma u F - theta u -
+    alpha u^2 and mu v (1 - v/K) - u F, with RM (2, 1, 0, 1, 4, lam = 1),
+    F = v/(1 + v), or LV, F = v."""
+    u, v = _smooth_state(x, ell)
+    if kin_name == "lv":
+        gamma, theta, alpha, mu, K = LV
+        F = v
+    else:
+        gamma, theta, alpha, mu, K = 2.0, 1.0, 0.0, 1.0, 4.0
+        F = v / (1.0 + v)
+    return gamma * u * F - theta * u - alpha * u * u, mu * v * (1.0 - v / K) - u * F
+
+
+def _operator_models(kind, kin_name):
+    if kind == "constant":
+        mot = MotilityModel.constant(*CONSTANT)
+    else:
+        mot = MotilityModel(MotilityKind(kind))
+    kin = KineticsModel.lotka_volterra(*LV) if kin_name == "lv" else CP_KIN
+    return mot, kin
+
+
+def _grid_symbol(grid, j):
+    """kappa = (4/h^2) sin^2(kh/2) of the Neumann mode cos(j pi x/ell): the
+    discrete Laplacian's eigenvalue, with the mode sampled at the centres
+    as its eigenvector."""
+    k = j * math.pi / grid.ell
+    return 4.0 / grid.h**2 * math.sin(k * grid.h / 2.0) ** 2
 
 
 class TestConvergenceOrders:
     """Independent oracles for the discretisation: the semi-discrete
     right-hand side converges to the exact operator at second order in h,
-    and RK4 converges at fourth order in dt."""
+    with its reaction part exact; RK4 converges at fourth order in dt; and
+    at a homogeneous state the discrete Jacobian is the continuous
+    linearization with k^2 replaced by the grid symbol, on which RK4 at
+    stable_dt's step is stable."""
 
-    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
-    def test_rhs_converges_to_the_exact_operator_at_second_order(self, kind):
+    @pytest.mark.parametrize(
+        "kind, kin_name",
+        [
+            ("d1", "rm"), ("d2", "rm"), ("d3", "rm"), ("constant", "rm"),
+            ("d1", "lv"), ("constant", "lv"),
+        ],
+        ids=["d1", "d2", "d3", "constant", "d1-lv", "constant-lv"],
+    )
+    def test_rhs_converges_to_the_exact_operator_at_second_order(self, kind, kin_name):
         ell = 8 * math.pi
+        mot, kin = _operator_models(kind, kin_name)
         errors = []
         for n in (64, 128, 256, 512):
             grid = Grid1D(ell, n)
             x = grid.centers()
-            cfg = cp_config(mot=MotilityModel(MotilityKind(kind)), grid=grid)
-            du, dv = rhs(State(0.0, *_smooth_state(x, ell)), cfg)
-            du_ref, dv_ref = _exact_operator(kind, x, ell, 0.1)
+            state = State(0.0, *_smooth_state(x, ell))
+            full = rhs(state, cp_config(kin=kin, mot=mot, grid=grid))
+            transport = rhs(state, cp_config(kin=zero_kinetics(), mot=mot, grid=grid))
+            # the reaction is pointwise: exact at every grid, to rounding
+            for got, moved, want in zip(full, transport, _exact_reaction(kin_name, x, ell)):
+                assert np.max(np.abs(got - moved - want)) < 1e-12
+            du_ref, dv_ref = _exact_transport(kind, x, ell, 0.1)
+            du, dv = transport
             errors.append(max(np.max(np.abs(du - du_ref)), np.max(np.abs(dv - dv_ref))))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((orders >= 1.95) & (orders <= 2.05)), orders
+
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_jacobian_blocks_are_the_linearization_at_the_grid_symbol(self, kind):
+        from preytaxis_lab.linstab import linearize
+
+        mot = MotilityModel(MotilityKind(kind))
+        grid = Grid1D(8 * math.pi, 64)
+        cfg = cp_config(mot=mot, grid=grid)
+        lin = linearize(CP_KIN, mot, cfg.D, CP_CO)
+        base = np.array([[CP_CO.u], [CP_CO.v]]) * np.ones(grid.n_cells)
+        eps = 1e-6
+        worst = 0.0
+        for j in range(grid.n_cells):
+            mode = np.cos(j * math.pi * grid.centers() / grid.ell)
+            block = lin.M(math.sqrt(_grid_symbol(grid, j)))
+            for field in (0, 1):
+                e = np.zeros_like(base)
+                e[field] = eps * mode
+                plus, minus = rhs(State(0.0, *(base + e)), cfg), rhs(State(0.0, *(base - e)), cfg)
+                column = (np.array(plus) - np.array(minus)) / (2.0 * eps)
+                # J (mode in field) = block[:, field] * mode: nothing leaks
+                # into the other modes or the other field's block entries
+                worst = max(worst, np.max(np.abs(column - np.outer(block[:, field], mode))))
+        assert worst < 1e-7, worst
+
+    @pytest.mark.parametrize("cfl", [0.4, 1.0])
+    @pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+    def test_rk4_is_stable_on_every_decaying_mode_at_stable_dt(self, kind, cfl):
+        from preytaxis_lab.linstab import linearize
+
+        mot = MotilityModel(MotilityKind(kind))
+        grid = Grid1D(8 * math.pi, 64)
+        cfg = cp_config(mot=mot, grid=grid, cfl_safety=cfl)
+        lin = linearize(CP_KIN, mot, cfg.D, CP_CO)
+        u, v = np.full(grid.n_cells, CP_CO.u), np.full(grid.n_cells, CP_CO.v)
+        dt = stable_dt(State(0.0, u, v), cfg)
+        decaying = 0
+        for j in range(grid.n_cells):
+            for lam in np.linalg.eigvals(lin.M(math.sqrt(_grid_symbol(grid, j)))):
+                if lam.real < 0.0:
+                    z = lam * dt
+                    growth = abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+                    assert growth <= 1.0, (j, lam, dt, growth)
+                    decaying += 1
+        assert decaying > grid.n_cells  # the stiff modes are all among them
 
     @pytest.mark.parametrize("n_cells", [16, 32])
     def test_rk4_converges_at_fourth_order(self, n_cells):
