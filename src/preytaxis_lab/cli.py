@@ -23,6 +23,16 @@ the cutoff ``unstable_modes`` computes.
 All numeric CSV fields carry 17 significant digits (exact float
 round-trip); re-running a subcommand with the same config and seed
 produces byte-identical CSV bodies.
+
+The all-float tables (timeseries.csv, snapshots.csv, final_state.csv,
+curves.csv) come from ``_floatcsv``, imported when the first is written.
+It makes the 17 digits of each |x| in [1e-11, 1e17) from one long-double
+product of |x| and an exact power of ten, truncated and rounded to an
+integer, which is proven equal to ``'%.17g' % x`` where the product's
+fraction is not exactly 0.5; every other value, and every value where
+long double has no 64-bit significand, takes ``'%.17g' % x`` itself.
+Tables with str or int fields are written row by row from %-templates
+(``_table``).
 """
 
 from __future__ import annotations
@@ -328,30 +338,6 @@ def _table(rows):
         yield template % (row if keep is None else tuple(compress(row, keep))), 1
 
 
-def _states(x: list[float], states):
-    """(text, rows) blocks of a state table for ``_write_csv``, one per
-    ``(lead, u, v)`` item: a line ``*lead,x,u,v`` per cell, where ``lead``
-    holds the float fields before x (a snapshot's time, or none).
-
-    x is formatted once per table and lead once per block; a block is one
-    %-template, with them already in it, over the cells' u and v.  A block
-    in which it wrote "nan" is formatted again row by row through
-    ``_table``, so NaN floats come out empty.  One block per state
-    keeps every string small (about 20 KB at 256 cells): a string the size
-    of a whole file would be mmapped by malloc, and freeing it raises
-    glibc's mmap threshold for the rest of the process.
-    """
-    cells = [format(xi, ".17g") + ",%.17g,%.17g\n" for xi in x]
-    for lead, u, v in states:
-        head = "".join(format(f, ".17g") + "," for f in lead)
-        values = tuple(np.stack((u, v), axis=1).ravel().tolist())
-        text = (head + head.join(cells)) % values
-        if "nan" in text:
-            rows = zip(x, values[::2], values[1::2])
-            text = "".join(line for line, _ in _table((*lead, *row) for row in rows))
-        yield text, len(cells)
-
-
 def _write_csv(path: str, header: tuple[str, ...], blocks) -> int:
     """Write the header line, then each (text, rows) block; returns the
     number of rows written."""
@@ -505,10 +491,12 @@ def cmd_bifurcation(rc: RunConfig) -> int:
     d_star = float(mot.d(co.v))
     curve = beta.curves(d_star, rc.eta_grid)
     run = _Run(rc, "bifurcation", kin, mot)
+    from . import _floatcsv
+
     run.csv(
         "curves.csv",
         ("eta", "D_H", "D_S"),
-        _table(zip(curve.eta, curve.D_H, curve.D_S)),
+        _floatcsv.column_lines((curve.eta, curve.D_H, curve.D_S)),
     )
     resid = [
         max(
@@ -558,21 +546,24 @@ _SERIES_HEADER = (
 
 
 def _write_trajectory(run: _Run, traj: Trajectory):
+    from . import _floatcsv
+
     s = traj.series
     run.csv(
         "timeseries.csv",
         _SERIES_HEADER,
-        _table(zip(*(getattr(s, name).tolist() for name in _SERIES_HEADER))),
+        _floatcsv.column_lines([getattr(s, name) for name in _SERIES_HEADER]),
     )
-    x = traj.grid.centers().tolist()
+    x = traj.grid.centers()
     run.csv(
         "snapshots.csv",
         ("t", "x", "u", "v"),
-        _states(x, (((st.t,), st.u, st.v) for st in traj.snapshots)),
+        _floatcsv.state_lines(x, ((st.t, st.u, st.v) for st in traj.snapshots), True),
     )
     if traj.snapshots:
         last = traj.snapshots[-1]
-        run.csv("final_state.csv", ("x", "u", "v"), _states(x, [((), last.u, last.v)]))
+        final = _floatcsv.state_lines(x, [(last.t, last.u, last.v)], False)
+        run.csv("final_state.csv", ("x", "u", "v"), final)
 
 
 def cmd_simulate(rc: RunConfig) -> int:

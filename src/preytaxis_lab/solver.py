@@ -636,7 +636,7 @@ class Trajectory:
     status: str = "ok"
 
 
-# States per recorder block: a (64, 2, n) buffer is 128 KiB at 128 cells
+# States per recorder block: a (2, 64, n) buffer is 128 KiB at 128 cells
 # and 256 KiB at 256.  A 500-row series took least time at 64 states per
 # block at 256 cells and within 0.5 ms of the least (at 128) at 128 cells;
 # 128 doubles the block and the temporaries of a flush, which raised the
@@ -647,24 +647,24 @@ _SERIES_BLOCK = 64
 class _SeriesRecorder:
     """TimeSeries rows, computed a block of states at a time.
 
-    ``record`` stores t and copies the stacked state into a
-    (_SERIES_BLOCK, 2, n) buffer, in one copy.  When the buffer fills, and
-    in ``finalize`` (which a guard error reaches too), each quantity takes
-    one NumPy call over the block's stacked states, reducing along the
-    contiguous cell axis, so every row gets the pairwise sums a single
-    state would.  The squared deviations from the base and from the mean
-    (the operations ``np.std`` makes) go into one block-sized scratch.  V1
-    and V2 take one call each on the rows that meet their preconditions,
-    as views of the block when every row does; they are looked up in this
-    module at call time.
+    ``record`` stores t and copies the state's u and v rows into a
+    field-major (2, _SERIES_BLOCK, n) buffer, in one copy.  When the buffer
+    fills, and in ``finalize`` (which a guard error reaches too), each
+    quantity takes one NumPy call over the block's stacked states, reducing
+    along the contiguous cell axis, so every row gets the pairwise sums a
+    single state would.  The squared deviations from the base and from the
+    mean (the operations ``np.std`` makes) go into one block-sized scratch.
+    V1 and V2 take one call each on the rows that meet their
+    preconditions, as contiguous (rows, n) views of the block when every
+    row does; they are looked up in this module at call time.
     """
 
     def __init__(self, cfg: SolverConfig):
         self.h = cfg.grid.h
         self.kin = cfg.kin
-        self.base = np.stack(cfg.base_arrays())
+        self.base = np.stack(cfg.base_arrays())[:, None]
         self.co = cfg.coexistence_base()
-        self.block = np.empty((_SERIES_BLOCK, 2, cfg.grid.n_cells))
+        self.block = np.empty((2, _SERIES_BLOCK, cfg.grid.n_cells))
         self.dev = np.empty_like(self.block)  # deviations scratch of a flush
         self.cols = np.empty((13, cfg.series_count))  # one row per TimeSeries field
         self.count = 0  # rows recorded
@@ -674,7 +674,7 @@ class _SeriesRecorder:
         """Store the (2, n) state ``y`` (rows u and v) at time t."""
         row = self.count - self.flushed
         self.cols[0, self.count] = t
-        self.block[row] = y
+        self.block[:, row] = y
         self.count += 1
         if row + 1 == _SERIES_BLOCK:
             self._flush()
@@ -684,40 +684,40 @@ class _SeriesRecorder:
         self.flushed = hi
         if hi == lo:
             return
-        h, y, dev = self.h, self.block[: hi - lo], self.dev[: hi - lo]
+        h, y, dev = self.h, self.block[:, : hi - lo], self.dev[:, : hi - lo]
         n = y.shape[-1]
         # c's rows are TimeSeries' fields: t, mass_u, mass_v, min_u, max_u,
         # min_v, max_v, l2_dev_u, l2_dev_v, std_u, std_v, V1, V2
         c = self.cols[:, lo:hi]
         lows = np.min(y, axis=-1)
         sums = np.sum(y, axis=-1)
-        c[1:3] = (h * sums).T
-        c[3:7:2] = lows.T
-        c[4:7:2] = np.max(y, axis=-1).T
+        c[1:3] = h * sums
+        c[3:7:2] = lows
+        c[4:7:2] = np.max(y, axis=-1)
         np.subtract(y, self.base, out=dev)
         np.square(dev, out=dev)
-        c[7:9] = np.sqrt(h * np.sum(dev, axis=-1)).T
+        c[7:9] = np.sqrt(h * np.sum(dev, axis=-1))
         # np.std's operations: the sum over n as the mean, the squared
         # deviations from it, their sum over n, the square root
         np.subtract(y, (sums / n)[..., None], out=dev)
         np.square(dev, out=dev)
-        c[9:11] = np.sqrt(np.sum(dev, axis=-1) / n).T
+        c[9:11] = np.sqrt(np.sum(dev, axis=-1) / n)
         c[11:13] = math.nan
-        # with every row qualifying, row views of the block stand in for
-        # masked copies, so a flush holds no copy beside the scratch
-        ok = lows[:, 1] > 0.0
+        # with every row qualifying, (rows, n) views of the block stand in
+        # for masked copies, so a flush holds no copy beside the scratch
+        ok = lows[1] > 0.0
         if ok.any():
             rows = slice(None) if ok.all() else ok
             try:
-                c[11, rows] = lyapunov_v1(y[rows, 0], y[rows, 1], self.kin, h)
+                c[11, rows] = lyapunov_v1(y[0, rows], y[1, rows], self.kin, h)
             except ValueError:
                 pass
         if self.co is not None:
-            ok &= lows[:, 0] > 0.0
+            ok &= lows[0] > 0.0
             if ok.any():
                 rows = slice(None) if ok.all() else ok
                 try:
-                    c[12, rows] = lyapunov_v2(y[rows, 0], y[rows, 1], self.kin, self.co, h)
+                    c[12, rows] = lyapunov_v2(y[0, rows], y[1, rows], self.kin, self.co, h)
                 except ValueError:
                     pass
 

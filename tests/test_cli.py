@@ -2,12 +2,16 @@ import dataclasses
 import json
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from helpers import reference_csv_text, run_fresh_python
-from preytaxis_lab import cli
+from preytaxis_lab import _floatcsv, cli
 from preytaxis_lab.cli import main
 from preytaxis_lab.diagnostics import classify_pattern
 from preytaxis_lab.model import check_hypotheses, compute_equilibria
@@ -463,6 +467,15 @@ GUARD_TRIP = set_keys(
 )
 
 
+# decay_output's shape: prey-only decay at 128 cells with 500 snapshots.
+# u falls below 1e-4 there, so chunks of the float writer mix fixed and
+# scientific (e-05 and smaller) exponent groups.
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "decay.ini")) as _fh:
+    DECAY_OUTPUT = set_keys(
+        _fh.read(), ("solver", "t_end", "30"), ("solver", "snapshot_count", "500")
+    )
+
+
 class TestTrajectoryTablesMatchReferenceWriter:
     """timeseries.csv, snapshots.csv and final_state.csv are byte for byte
     what the original per-row writer makes of the same trajectory."""
@@ -475,8 +488,9 @@ class TestTrajectoryTablesMatchReferenceWriter:
             (GUARD_TRIP, 5, False),
             # prey-only decay: no coexistence base, so V2 is NaN on every row
             (set_key(SIMULATE_SMALL, "model", "gamma", "1"), 0, True),
+            (DECAY_OUTPUT, 0, True),
         ],
-        ids=["small", "8_cells", "guard_trip", "decay_v2_nan"],
+        ids=["small", "8_cells", "guard_trip", "decay_v2_nan", "decay_output"],
     )
     def test_simulate_outputs(self, tmp_path, monkeypatch, body, code, v2_all_nan):
         original = cli.integrate
@@ -524,6 +538,113 @@ class TestTrajectoryTablesMatchReferenceWriter:
             lines = fh.read().splitlines()
         assert lines[9] == "0.25,0.125,,1"
         assert lines[1] == "0,0.125,inf,0.10000000000000001"
+
+
+def float_fields(values):
+    """The float writer's field for each value, from a one-column table."""
+    text = "".join(t for t, _ in _floatcsv.column_lines([np.array(values, dtype=float)]))
+    return text.split("\n")[:-1]
+
+
+def percent_g(values):
+    return ["%.17g" % v if v == v else "" for v in values]
+
+
+def around(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def signed(values):
+    return [w for v in values for w in (v, -v)]
+
+
+def largest_below_power_of_ten(j):
+    d = float(f"1e{j}")
+    return math.nextafter(d, 0.0) if Fraction(d) >= Fraction(10) ** j else d
+
+
+# Powers of ten over the long-double range, and the %g switch points
+# 1e-5/1e-4 (scientific to fixed) and 1e16/1e17 (fixed to scientific)
+# among them, with both neighbours.
+POWERS_OF_TEN = signed([w for j in range(-11, 18) for w in around(float(f"1e{j}"))])
+# Doubles whose 17-digit rounding carries into the next power of ten: the
+# largest double below 10**j, where '%.17g' prints 10**j.  None lies in
+# [1e-11, 1e17), so these take '%.17g'; the powers above hold the largest
+# double below each power of ten in range.
+CARRIES = signed(
+    [
+        d
+        for j in range(-320, 309)
+        for d in [largest_below_power_of_ten(j)]
+        if Fraction("%.17g" % d) == Fraction(10) ** j
+    ]
+)
+# Exact decimal ties at the 18th digit (round half to even), and a value
+# whose scaled fraction only rounds to 0.5 in a long double.
+EXACT_TIES = signed([1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 30001 / 2**18, 30003 / 2**18])
+LONG_DOUBLE_TIES = signed([4.0134311524457082, 3.9968688749023285, 0.0020904731614700103])
+SPECIALS = signed(
+    [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+     1.7976931348623157e308, math.inf, math.nan]
+)
+
+
+class TestFloatFields:
+    """Every field of the float tables is '%.17g' % value, and '' for NaN."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [POWERS_OF_TEN, CARRIES, EXACT_TIES, LONG_DOUBLE_TIES, SPECIALS],
+        ids=["powers_of_ten", "carries", "exact_ties", "long_double_ties", "specials"],
+    )
+    def test_listed_edges(self, values):
+        assert float_fields(values) == percent_g(values)
+
+    def test_edge_lists_hold_what_they_name(self):
+        assert len(CARRIES) >= 2
+        for v in EXACT_TIES:
+            digits = Decimal(v).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, v
+
+    def test_both_ends_of_every_binade(self):
+        bottoms = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        tops = [math.nextafter(b, 0.0) for b in bottoms[1:] + [math.inf]]
+        values = signed(bottoms + tops)
+        assert float_fields(values) == percent_g(values)
+
+    @given(
+        hyp.lists(
+            hyp.tuples(
+                hyp.booleans(),
+                hyp.one_of(hyp.integers(0, 2047), hyp.integers(985, 1080)),
+                hyp.integers(0, 2**52 - 1),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns(self, parts):
+        bits = [sign << 63 | exponent << 52 | mantissa for sign, exponent, mantissa in parts]
+        values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+        assert float_fields(values) == percent_g(values)
+
+    def test_without_long_double_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, DECAY_OUTPUT)
+        outs = [str(tmp_path / "fast"), str(tmp_path / "fallback")]
+        assert main(["simulate", "--config", cfg, "--out", outs[0]]) == 0
+        monkeypatch.setattr(_floatcsv, "_LONG_DOUBLE", False)
+        assert main(["simulate", "--config", cfg, "--out", outs[1]]) == 0
+        texts = []
+        for out in outs:
+            files = {}
+            for name in ("timeseries.csv", "snapshots.csv", "final_state.csv"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[name] = fh.read()
+            texts.append(files)
+        assert texts[0] == texts[1]
+        snapshots = texts[0]["snapshots.csv"]
+        assert b"e-" in snapshots and b",0.000" in snapshots
 
 
 SWEEP = (
