@@ -576,10 +576,12 @@ def cmd_simulate(rc: RunConfig) -> int:
     except (BlowUpError, NonPhysicalError) as exc:
         _write_trajectory(run, exc.trajectory)
         run.extra["failure_time"] = exc.t
+        run.extra["run_stats"] = exc.trajectory.stats
         run.finish(status=exc.trajectory.status)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     _write_trajectory(run, traj)
+    run.extra["run_stats"] = traj.stats
     try:
         pattern = classify_pattern(traj)
         run.extra["pattern"] = {
@@ -598,9 +600,22 @@ def cmd_simulate(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+def _largest_increase(values: np.ndarray):
+    """The largest rise of ``values`` from one row to the next, over the
+    pairs of rows that are both not NaN; None where there is no such pair."""
+    rises = np.diff(values)
+    rises = rises[~np.isnan(rises)]
+    return float(rises.max()) if rises.size else None
+
+
 def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
     """Record a decay fit when the configuration sits in a provably stable
-    regime (prey-only, or coexistence with D above the threshold)."""
+    regime (prey-only, or coexistence with D above the threshold).
+
+    The block also records the largest one-row increase of V1 and of V2,
+    which the paper's functionals do not have in those regimes, and in
+    the prey-only regimes the predicted rate theta - gamma*F(K) of the
+    predator's exponential decay."""
     v0_max = float(traj.snapshots[0].v.max()) if traj.snapshots else kin.K
     try:
         report = global_stability_report(kin, mot, rc.D, v0_max)
@@ -616,12 +631,17 @@ def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
         fit = decay_fit(traj.series, target)
     except InsufficientDataError:
         return
-    run.extra["decay"] = {
+    decay = {
         "verdict": fit.verdict.value,
         "rate": fit.rate,
         "r_squared": fit.r_squared,
         "target": target.kind.value,
+        "max_increase_V1": _largest_increase(traj.series.V1),
+        "max_increase_V2": _largest_increase(traj.series.V2),
     }
+    if target is eqs.prey_only:
+        decay["predicted_rate"] = kin.theta - report.gamma_F_K
+    run.extra["decay"] = decay
 
 
 def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):

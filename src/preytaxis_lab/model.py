@@ -104,7 +104,8 @@ class KineticsModel:
     parameter operands and the ufuncs; the solver binds it once per
     workspace.  So each closed form is written once, as the kernel's list
     of ufunc calls, and each element takes the operations of the closed
-    forms above in their order.  Custom kinds bind their evaluators and
+    forms above in their order, less the exact folds ``_kernel`` makes of
+    its parameters.  Custom kinds bind their evaluators and
     copy the results in.  ``F`` and ``f`` return a new array; scalar ``v``
     gives a Python float.
     """
@@ -177,12 +178,22 @@ class KineticsModel:
         with ``v`` or ``u``.
 
         It writes f(v) into ``f`` and F(v) into ``F``, each when given; a
-        builtin f keeps mu*v in ``scratch``, allocated here when not given.
+        builtin f with mu != 1 keeps mu*v in ``scratch``, allocated here
+        when not given.
         With ``u`` and ``du`` as well (and both ``F`` and ``f``), it goes on
         to the reaction terms of ``reaction``: du = gamma*u*F - theta*u -
         alpha*u*u and f(v) - u*F(v) in ``f``, with ``F`` then scratch for
         the loss terms.  The kind is dispatched here, once: the closure
         makes a fixed list of ufunc calls with every operand bound.
+
+        Operations whose result the parameters fix are folded out when the
+        kernel is bound.  A factor mu or theta that is exactly 1.0 is not
+        multiplied, since x*1 == x for every double, signed zeros and NaN
+        included.  gamma*u*F is formed from u*F, which the prey row needs
+        anyway: as u*F itself when gamma == 1, and as gamma*(u*F) when gamma
+        is another power of two, which equals (gamma*u)*F unless a product
+        is subnormal or overflows.  Every other element takes the
+        operations of the closed forms in their order, to the bit.
         """
         steps = []
         if self.kind is KineticsKind.CUSTOM:
@@ -192,14 +203,15 @@ class KineticsModel:
         else:
             mu, K, lam = self._shape_operands
             if f is not None:
-                if scratch is None:
-                    scratch = np.empty_like(f)
-                # f = mu*v * (1 - v/K)
+                # f = mu*v * (1 - v/K), with v for mu*v when mu == 1
+                mu_v = v
+                if self.mu != 1.0:
+                    mu_v = np.empty_like(f) if scratch is None else scratch
+                    steps.append((np.multiply, (mu, v, mu_v)))
                 steps += [
-                    (np.multiply, (mu, v, scratch)),
                     (np.divide, (v, K, f)),
                     (np.subtract, (_ONE, f, f)),
-                    (np.multiply, (scratch, f, f)),
+                    (np.multiply, (mu_v, f, f)),
                 ]
             if F is not None and self.kind is KineticsKind.LOTKA_VOLTERRA:
                 steps.append((np.add, (v, _ZERO, F)))  # F = v + 0.0
@@ -210,11 +222,17 @@ class KineticsModel:
             steps += [
                 (np.multiply, (u, F, du)),
                 (np.subtract, (f, du, f)),  # f - u*F
-                (np.multiply, (gamma, u, du)),
-                (np.multiply, (du, F, du)),
-                (np.multiply, (theta, u, F)),
-                (np.subtract, (du, F, du)),  # gamma*u*F - theta*u
             ]
+            # du = gamma*u*F: du holds u*F
+            if math.frexp(self.gamma)[0] != 0.5:
+                steps += [(np.multiply, (gamma, u, du)), (np.multiply, (du, F, du))]
+            elif self.gamma != 1.0:
+                steps.append((np.multiply, (gamma, du, du)))
+            # du = gamma*u*F - theta*u
+            if self.theta == 1.0:
+                steps.append((np.subtract, (du, u, du)))
+            else:
+                steps += [(np.multiply, (theta, u, F)), (np.subtract, (du, F, du))]
             # alpha = +0.0 makes alpha*u*u +0.0 for finite u, and x - (+0.0)
             # is x to the bit; a non-finite u has already made du NaN
             if alpha is not None:
@@ -371,19 +389,25 @@ class MotilityModel:
             return float(d), float(chi)
         return d, chi
 
-    def _kernel(self, v, d, chi):
-        """Bind a zero-argument closure that writes d(v) into ``d`` and
-        chi(v) into ``chi``, float buffers shaped like ``v`` that share no
-        memory with it.
+    def _kernel(self, v, d, chi, scale=_ONE):
+        """Bind a zero-argument closure that writes d(x) into ``d`` and
+        chi(x)/scale into ``chi``, where ``v`` holds scale*x: float buffers
+        shaped like ``v`` that share no memory with it.
 
-        The kind is dispatched here, once, and the closure holds ``v``, the
-        buffers, the 0-d operands and the ufuncs, so a call reads ``v`` anew
-        and makes only ufunc calls.  The builtin kinds share one exponential
-        between d and chi; the constant kind fills in its pair.
+        ``scale`` is 1 or 2, as a 0-d operand or one per element of ``v``,
+        so the solver can pass face sums v[i] + v[i+1] for the face values
+        x and get chi/2 to multiply by the sum of u.  The kind is dispatched
+        here, once, and the closure holds ``v``, the buffers, the 0-d
+        operands and the ufuncs, so a call reads ``v`` anew and makes only
+        ufunc calls.  The builtin kinds share one exponential between d and
+        chi; the constant kind fills in its pair.  A builtin kind binds
+        (r/scale, scale) for (r, 1): (r/2)*(2x - 2) == r*(x - 1) and
+        (r/2)*q == (r*q)/2 unless a result is subnormal or overflows, so d,
+        and chi times scale, keep the bits that scale 1 gives.
         """
         params = self._logistic_operands
         if params is None:
-            d_const, chi_const = self.d_const, self.chi_const
+            d_const, chi_const = self.d_const, np.divide(self.chi_const, scale)
 
             def constant():
                 d[...] = d_const
@@ -391,12 +415,14 @@ class MotilityModel:
 
             return constant
         m, r = params
+        if scale is not _ONE:
+            r = np.divide(r, scale, out=np.empty(np.shape(scale)))
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         minimum, exp, sqrt = np.minimum, np.exp, np.sqrt
 
         def logistic():
-            # chi holds w = exp(min(r*(v - 1), cap)) and d holds s = m + w
-            subtract(v, _ONE, chi)
+            # chi holds w = exp(min(r*(x - 1), cap)) and d holds s = m + w
+            subtract(v, scale, chi)
             multiply(r, chi, chi)
             minimum(chi, _CAP, out=chi)
             exp(chi, chi)

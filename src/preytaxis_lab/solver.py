@@ -15,8 +15,8 @@ RK4 runs in a workspace that each SolverConfig builds on its first step
 (``SolverConfig._workspace``; ``dataclasses.replace``, copies and pickles
 get their own).  It holds every buffer and face or cell view the step
 needs, allocated once, and binds its kernels once: closures over those
-buffers, the 0-d operands h, D, 0.5 and 2.0 (which NumPy takes without
-the per-call conversion of a Python float), the ufuncs, and the model
+buffers, the 0-d operands h, D and 2.0 (which NumPy takes without the
+per-call conversion of a Python float), the ufuncs, and the model
 kernels that ``MotilityModel._kernel`` and ``KineticsModel._kernel``
 bind for d and chi and for the reaction with F and f.  A stage then
 makes ufunc calls and zero-argument kernel calls only, with no model
@@ -39,29 +39,49 @@ interval in ``integrate``; and it returns the new state as the (2, n)
 cells of one new (2, n + 1) block, which ``integrate`` checks with one
 maximum and one minimum reduction, on the cells alone.  ``stable_dt``
 runs a kernel of the same workspace, in buffers of its own, and divides
-the largest advective term by h once.
+the largest advective term by h once (doubled first: its face buffers
+hold chi/2).
 
-``integrate`` runs that kernel only where it can change the result.  An
-output interval takes n_sub = max(1, ceil(interval / dt_cfl)) equal
-steps, so dt_cfl enters the result through that integer alone.  The
+The kernels are bound with every operation that the run's constants fix
+folded out, so a right-hand side makes fewer calls and every element
+keeps its bits:
+
+- a multiply by a parameter that is exactly 1.0 (mu*v, theta*u) is
+  dropped, since x*1 == x for every double, signed zeros and NaN
+  included;
+- gamma*u*F reuses the u*F the prey row needs: as it is when gamma == 1,
+  and as gamma*(u*F) when gamma is another power of two;
+- the face sums s_u = u[i] + u[i+1] and s_v = v[i] + v[i+1] are not
+  halved, in the right-hand side or in ``stable_dt``: the motility
+  kernel reads s_v with (r/2, 2) bound where the face value v_f takes
+  (r, 1), and gives chi/2, so r*(v_f - 1) is (r/2)*(s_v - 2) and
+  u_f*chi is s_u*(chi/2).
+
+The first is exact always.  The power-of-two scalings of the other two
+are exact unless a result is subnormal (below 2.2e-308 in magnitude) or
+overflows; only there can a bit differ from the unfolded expressions.
+
+``integrate`` runs the ``stable_dt`` kernel only where it can change the
+result.  An output interval takes n_sub = max(1, ceil(interval / dt_cfl))
+equal steps, so dt_cfl enters the result through that integer alone.  The
 workspace brackets dt_cfl from run constants and one number of the
 state: above by safety*h^2/(2D), below by the motility model's sup d and
 sup |chi| with the max minus the min of the state over both fields,
 which the step guard has already computed.  Where both ends give the same
 n_sub the kernel would give it too, so ``integrate`` takes it without
 the kernel and every bit of the result is the same; where they differ it
-calls ``stable_dt``.  Three lookups stay at call time,
-so wrappers bound in this module by name see every call: ``integrate``
-looks up ``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
+calls ``stable_dt``.  Three lookups stay at call time, so wrappers bound
+in this module by name see every call: ``integrate`` looks up
+``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
 ``_rhs_arrays``, which picks the start-state or the stage kernel by the
 identity of its arguments.  At 128 or 256 cells a step is bound by
 NumPy's per-call cost and the interpreter's work around it, not by
 arithmetic, so fewer and cheaper calls make it faster; every element
-still takes the operations of the plain expressions in their order, so
-results are the same to the last bit.  ``rk4_step`` and ``rhs`` return
-new arrays, never workspace buffers.  A workspace is scratch for one
-caller at a time: a SolverConfig must not be stepped, nor passed to
-``stable_dt``, from two threads at once.
+still takes the operations of the plain expressions in their order, up
+to the folds above, so results are the same to the last bit.
+``rk4_step`` and ``rhs`` return new arrays, never workspace buffers.  A
+workspace is scratch for one caller at a time: a SolverConfig must not
+be stepped, nor passed to ``stable_dt``, from two threads at once.
 """
 
 from __future__ import annotations
@@ -333,7 +353,7 @@ class _Workspace:
 
     def __init__(self, cfg: SolverConfig):
         n = cfg.grid.n_cells
-        h, D, half, self.two = _operands(cfg.grid.h, cfg.D, 0.5, 2.0)
+        h, D, self.two = _operands(cfg.grid.h, cfg.D, 2.0)
         # 0.5*dt, dt and dt/6 of the step size ``dt``, set when it changes
         self.dt = None
         self.c_half, self.c_full, self.c_sixth = np.empty(()), np.empty(()), np.empty(())
@@ -343,15 +363,17 @@ class _Workspace:
         self.u0, self.v0 = self.y0[:, :n]
         self.u, self.v = self.y[:, :n]
         self.k, self.k1 = self.dy[:, :n], self.acc[:, :n]
-        # face sums hold (uf, vf) and face differences (du/h, dv/h) in
-        # lanes [:n - 1] of each row; the flat calls also fill row 0's
-        # last two lanes and row 1's lane n - 1, with junk
+        # face sums hold (su, sv) = (2uf, 2vf) and face differences
+        # (du/h, dv/h) in lanes [:n - 1] of each row; the flat calls also
+        # fill row 0's last two lanes and row 1's lane n - 1, with junk.
+        # The motility kernel reads sv and writes d(vf) and chi(vf)/2, and
+        # su * (chi/2) is uf * chi, so the sums are not halved.
         face_sum, face_diff = np.zeros((2, 2, n + 1))
         sums, diffs = face_sum.reshape(-1)[:-1], face_diff.reshape(-1)[:-1]
-        uf, vf = face_sum[:, : n - 1]
+        su, sv = face_sum[:, : n - 1]
         dudx, dvdx = face_diff[:, : n - 1]
-        d, chi, taxis = np.empty((3, n - 1))
-        motility = cfg.mot._kernel(vf, d, chi)
+        d, chi_half, taxis = np.empty((3, n - 1))
+        motility = cfg.mot._kernel(sv, d, chi_half, scale=self.two)
         self.flux = _padded_flux(2, n)
         flux_u, flux_v = self.flux[:, 1:-1]
         flat_flux = self.flux.reshape(-1)
@@ -372,13 +394,12 @@ class _Workspace:
 
             def rhs():
                 add(y_r, y_l, sums)
-                multiply(sums, half, sums)
                 subtract(y_r, y_l, diffs)
                 divide(diffs, h, diffs)
                 motility()
                 # flux_u = d(vf) * (du/h) - (uf * chi(vf)) * dvdx; flux_v = D * dvdx
                 multiply(dudx, d, flux_u)
-                multiply(uf, chi, taxis)
+                multiply(su, chi_half, taxis)
                 multiply(taxis, dvdx, taxis)
                 subtract(flux_u, taxis, flux_u)
                 multiply(D, dvdx, flux_v)
@@ -392,18 +413,21 @@ class _Workspace:
 
         self.start = bind_rhs(self.y0, self.acc, self.k1)
         self.stage = bind_rhs(self.y, self.dy, self.k)
-        self.stable_dt = _bind_stable_dt(cfg, half)
+        self.stable_dt = _bind_stable_dt(cfg)
         self.dt_lower, self.dt_upper = _bind_dt_bracket(cfg)
 
 
-def _bind_stable_dt(cfg: SolverConfig, half: np.ndarray):
+def _bind_stable_dt(cfg: SolverConfig):
     """The workspace's ``stable_dt`` kernel: v in, the CFL step out.
 
-    The motility input holds the n cells, then the n - 1 faces; d and chi
-    land there, and ``speed`` holds |chi * (v[1:] - v[:-1])| on the faces.
-    Its maximum is divided by h once: IEEE division by h > 0 is correctly
-    rounded and monotone, so that is the maximum of the speeds divided by
-    h, to the bit.
+    The motility input holds the n cells, then the n - 1 face sums
+    v[i] + v[i+1], with a scale of 1 on the cells and 2 on the faces: d
+    lands on the cells and chi/2 on the faces (see
+    ``MotilityModel._kernel``), and ``speed`` holds
+    |chi/2 * (v[1:] - v[:-1])|, each half of |chi * (v[1:] - v[:-1])|
+    exactly.  Its maximum is doubled (exact) and divided by h once: IEEE
+    division by h > 0 is correctly rounded and monotone, so that is the
+    maximum of the speeds divided by h, to the bit.
     """
     n = cfg.grid.n_cells
     h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
@@ -412,20 +436,21 @@ def _bind_stable_dt(cfg: SolverConfig, half: np.ndarray):
     v_r, v_l = v_cells[1:], v_cells[:-1]
     d_cells, chi_faces = dt_d[:n], dt_chi[n:]
     speed = np.empty(n - 1)
-    motility = cfg.mot._kernel(v_cf, dt_d, dt_chi)
+    scale = np.ones(2 * n - 1)
+    scale[n:] = 2.0
+    motility = cfg.mot._kernel(v_cf, dt_d, dt_chi, scale=scale)
     add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.absolute
     largest = np.maximum.reduce
 
     def stable_dt(v):
         v_cells[...] = v
         add(v_r, v_l, v_faces)
-        multiply(half, v_faces, v_faces)
         motility()
         d_max = float(largest(d_cells))
         subtract(v_r, v_l, speed)
         multiply(chi_faces, speed, speed)
         absolute(speed, speed)
-        w_max = float(largest(speed)) / h
+        w_max = float(largest(speed)) * 2.0 / h
         dt_diff = h * h / (2.0 * max(d_max, D))
         dt_adv = h / (w_max + 1e-300)
         return safety * min(dt_diff, dt_adv)
@@ -507,9 +532,10 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
 
     It runs the workspace's ``stable_dt`` kernel.  One motility evaluation
     covers the cells (for d) and the faces (for chi) together.  Every
-    temporary is a buffer of the config's workspace, and each element takes
-    the operations of the plain expressions 0.5*(v[1:] + v[:-1]) and
-    abs(chi*(v[1:] - v[:-1])/h) in their order.  ``integrate`` calls it on
+    temporary is a buffer of the config's workspace, and the result has the
+    bits of the plain expressions 0.5*(v[1:] + v[:-1]) and
+    abs(chi*(v[1:] - v[:-1])/h), with the face halving folded into chi as
+    the module docstring says.  ``integrate`` calls it on
     the output intervals whose step count the workspace's bracket leaves
     open."""
     return cfg._workspace.stable_dt(state.v)
@@ -630,10 +656,14 @@ class TimeSeries:
 
 @dataclass
 class Trajectory:
+    """Snapshots and series of a run, with ``stats``: what ``integrate``
+    did to make them (see there)."""
+
     grid: Grid1D
     snapshots: list[State]
     series: TimeSeries
     status: str = "ok"
+    stats: dict = field(default_factory=dict)
 
 
 # States per recorder block: a (2, 64, n) buffer is 128 KiB at 128 cells
@@ -726,7 +756,18 @@ class _SeriesRecorder:
         return TimeSeries(*self.cols[:, : self.count])
 
 
-def _guard_error(t, u, v, grid, snapshots, rec) -> _GuardError:
+def _run_stats(steps: int, dt_calls: int, dt_min: float, dt_max: float) -> dict:
+    """``Trajectory.stats`` of a run; dt_min and dt_max are None before
+    the first step."""
+    return {
+        "steps": steps,
+        "stable_dt_calls": dt_calls,
+        "dt_min": dt_min if steps else None,
+        "dt_max": dt_max if steps else None,
+    }
+
+
+def _guard_error(t, u, v, grid, snapshots, rec, stats) -> _GuardError:
     """The error for a state that failed the step guard.
 
     Guards are tried in the order non-finite (first such cell), blow-up
@@ -747,7 +788,7 @@ def _guard_error(t, u, v, grid, snapshots, rec) -> _GuardError:
             name = min(fields, key=lambda k: fields[k].min())
             error, guard = NonPhysicalError, "negativity"
             cell = int(np.argmin(fields[name]))
-    traj = Trajectory(grid, snapshots, rec.finalize(), error.status)
+    traj = Trajectory(grid, snapshots, rec.finalize(), error.status, stats)
     return error(t, traj, guard, name, cell, float(fields[name][cell]))
 
 
@@ -761,6 +802,12 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     step guard computes) gives n_sub without the ``stable_dt`` kernel when
     its two ends agree: it is the kernel's count then, so the result keeps
     every bit.  ``stable_dt`` runs only on intervals where the ends differ.
+
+    The trajectory's ``stats`` hold ``steps`` (steps taken),
+    ``stable_dt_calls`` and the smallest and largest step, ``dt_min`` and
+    ``dt_max`` (None before the first step).  They are counted once per
+    output interval, and a failed run's trajectory has them too, up to the
+    failing step.
 
     Raises BlowUpError (fields beyond 1e6 or non-finite) or
     NonPhysicalError (densities below -1e-8); both carry the partial
@@ -784,8 +831,10 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     largest, smallest = np.maximum.reduce, np.minimum.reduce
     y = np.stack((u, v))
     hi, lo = largest(y, None), smallest(y, None)
+    steps = dt_calls = 0
+    dt_min, dt_max = math.inf, 0.0
     if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
-        raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec)
+        raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec, _run_stats(0, 0, dt_min, dt_max))
     rec.record(0.0, y)
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
@@ -799,18 +848,23 @@ def integrate(cfg: SolverConfig) -> Trajectory:
         # bracket fixes n_sub the kernel would give the same count
         n_sub = max(1, math.ceil(delta / dt_upper))
         if delta > n_sub * dt_lower(float(hi - lo)):
+            dt_calls += 1
             n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
         dt = delta / n_sub
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         for i in range(n_sub):
             # imex_step, and a wrapper bound over rk4_step, may return a (u, v) pair
             y = np.asarray(step(cfg, u, v, dt))
             u, v = y
             hi, lo = largest(y, None), smallest(y, None)
             if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
-                raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec)
+                stats = _run_stats(steps + i + 1, dt_calls, dt_min, dt_max)
+                raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec, stats)
+        steps += n_sub
         t = t_next
         if in_series[idx]:
             rec.record(t, y)
         if in_snap[idx]:
             snapshots.append(State(t, u.copy(), v.copy()))
-    return Trajectory(cfg.grid, snapshots, rec.finalize())
+    stats = _run_stats(steps, dt_calls, dt_min, dt_max)
+    return Trajectory(cfg.grid, snapshots, rec.finalize(), stats=stats)

@@ -1021,6 +1021,69 @@ class TestManifestResults:
         }
 
 
+class TestSimulateReports:
+    """simulate's manifest says what the solver did (``run_stats``) and, in
+    a provably stable regime, how the decay compares with the theory."""
+
+    def test_decay_block_on_the_shipped_decay_config(self, tmp_path):
+        path = os.path.join(CONFIGS, "decay.ini")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        manifest = read_manifest(out)
+        decay = manifest["decay"]
+        assert decay["target"] == "prey_only"
+        kin, _ = cli.build_models(cli.load_config(path))
+        # theta - gamma*F(K) = 1 - 4/5 in the prey-only regime; the fit
+        # reads 0.2004
+        assert decay["predicted_rate"] == kin.theta - kin.gamma * float(kin.F(kin.K))
+        assert decay["predicted_rate"] == pytest.approx(0.2, rel=1e-15)
+        assert decay["rate"] == pytest.approx(decay["predicted_rate"], rel=5e-3)
+        # V1 falls on every row; V2 needs a coexistence base and is all NaN
+        header, rows = read_csv(os.path.join(out, "timeseries.csv"))
+        v1 = np.array([float(r[header.index("V1")]) for r in rows])
+        assert decay["max_increase_V1"] == float(np.max(np.diff(v1))) < 0.0
+        assert decay["max_increase_V2"] is None
+        stats = manifest["run_stats"]
+        assert 1 <= stats["stable_dt_calls"] <= stats["steps"]
+        assert 0.0 < stats["dt_min"] <= stats["dt_max"]
+
+    def test_run_stats_of_a_guard_trip(self, tmp_path, monkeypatch):
+        from preytaxis_lab import solver
+
+        step, step_size, calls, dt_calls = solver.rk4_step, solver.stable_dt, [], []
+
+        def failing_third_step(cfg, u, v, dt):
+            calls.append(dt)
+            y = step(cfg, u, v, dt)
+            if len(calls) == 3:
+                y[0, 5] = math.nan
+            return y
+
+        def counted_stable_dt(state, cfg):
+            dt_calls.append(state.t)
+            return step_size(state, cfg)
+
+        monkeypatch.setattr(solver, "rk4_step", failing_third_step)
+        monkeypatch.setattr(solver, "stable_dt", counted_stable_dt)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_config(tmp_path, SIMULATE_SMALL), "--out", out]) == 5
+        manifest = read_manifest(out)
+        assert manifest["status"] == "blowup"
+        assert manifest["run_stats"] == {
+            "steps": 3, "stable_dt_calls": len(dt_calls), "dt_min": min(calls), "dt_max": max(calls),
+        }
+
+    def test_run_stats_of_a_failed_start_state(self, tmp_path):
+        # epsilon = 1.5 perturbs cells by up to 150%, so some start negative
+        with open(os.path.join(CONFIGS, "case1.ini"), encoding="utf-8") as fh:
+            body = set_key(fh.read(), "solver", "epsilon", "1.5")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_config(tmp_path, body), "--out", out]) == 5
+        assert read_manifest(out)["run_stats"] == {
+            "steps": 0, "stable_dt_calls": 0, "dt_min": None, "dt_max": None,
+        }
+
+
 # Runs each argv through ``main`` in one interpreter and prints, as its last
 # line, each run's exit code and whether SciPy and numpy.random had been
 # imported after it.  NumPy 1.x imports numpy.random with numpy itself, so

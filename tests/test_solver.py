@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
 import sys
 import warnings
@@ -32,7 +33,7 @@ from preytaxis_lab.model import (
     MotilityModel,
     compute_equilibria,
 )
-from preytaxis_lab import solver
+from preytaxis_lab import cli, solver
 from preytaxis_lab._pcg64 import PCG64
 from preytaxis_lab.solver import (
     BlowUpError,
@@ -907,6 +908,147 @@ class TestCallBudget:
         names = _python_calls(stable_dt, st, cfg)
         assert len(names) <= self.STABLE_DT_BUDGET, names
         assert names[0] == "stable_dt"
+
+
+class _CountingUfunc:
+    """A ufunc that adds one to ``counts[0]`` per call; its methods
+    (``reduce`` among them) are the ufunc's own and are not counted."""
+
+    def __init__(self, ufunc, counts):
+        self._ufunc, self._counts = ufunc, counts
+
+    def __call__(self, *args, **kwargs):
+        self._counts[0] += 1
+        return self._ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+
+def _shipped_models(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.ini")
+    return cli.build_models(cli.load_config(path))
+
+
+class TestFoldedKernels:
+    """The kinetics and motility kernels fold the operations the run's
+    constants fix when they are bound (a factor of exactly 1, gamma a power
+    of two, the halving of face sums): each right-hand side makes fewer
+    ufunc calls, and every element keeps the bits of the plain expressions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=hyp.sampled_from([1.0, 2.0, 0.5, 3.0]),
+        mu=hyp.sampled_from([1.0, 1.5]),
+        theta=hyp.sampled_from([1.0, 0.7]),
+        alpha=hyp.sampled_from([0.0, 0.3]),
+        mot_name=hyp.sampled_from(sorted(MOTILITIES)),
+        kin_name=hyp.sampled_from(["lv", "rm"]),
+        state=hyp.lists(hyp.floats(1e-3, 10.0), min_size=32, max_size=32),
+    )
+    def test_kernels_match_the_references_to_the_bit(
+        self, gamma, mu, theta, alpha, mot_name, kin_name, state
+    ):
+        if kin_name == "lv":
+            kin = KineticsModel.lotka_volterra(gamma, theta, alpha, mu, 4.0)
+        else:
+            kin = KineticsModel.rosenzweig_macarthur(gamma, theta, mu, 4.0, 1.5, alpha=alpha)
+        u, v = np.array(state).reshape(2, 16)
+        cfg = cp_config(
+            kin=kin, mot=MOTILITIES[mot_name], grid=Grid1D(3.0, 16), base_state=(u, v),
+            perturbation=Perturbation(0.0, 0),
+        )
+        # the reference reads F and f from the model, so pin them to the
+        # closed forms written here
+        F_ref = v + 0.0 if kin_name == "lv" else v / (1.5 + v)
+        assert same_bits(kin.F(v), F_ref)
+        assert same_bits(kin.f(v), mu * v * (1.0 - v / 4.0))
+        du, dv = solver._rhs_arrays(cfg, u, v)
+        du_ref, dv_ref = reference_rhs_arrays(cfg, u, v)
+        assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
+        dt = stable_dt(State(0.0, u, v), cfg)
+        assert dt == reference_stable_dt(State(0.0, u, v), cfg)
+        y = rk4_step(cfg, u, v, dt)
+        u_ref, v_ref = reference_rk4_step(cfg, u, v, dt)
+        assert same_bits(y[0], u_ref) and same_bits(y[1], v_ref)
+
+    @pytest.mark.parametrize("config, stage_budget", [("case2", 30), ("decay", 29)])
+    def test_ufunc_calls_per_right_hand_side(self, monkeypatch, config, stage_budget):
+        kin, mot = _shipped_models(config)
+        eq = compute_equilibria(kin)
+        base = eq.coexistence or eq.prey_only
+        cfg = cp_config(
+            kin=kin, mot=mot, grid=Grid1D(4 * math.pi, 128), base_state=base,
+            perturbation=Perturbation(0.05, 1),
+        )
+        st = init_state(cfg)
+        counts = [0]
+        for name, obj in vars(np).items():
+            if isinstance(obj, np.ufunc):
+                monkeypatch.setattr(np, name, _CountingUfunc(obj, counts))
+        ws = cfg._workspace  # binds the counting wrappers into its kernels
+        ws.u[...], ws.v[...] = st.u, st.v
+        counts[0] = 0
+        k = ws.stage()
+        stage_calls = counts[0]
+        counts[0] = 0
+        ws.stable_dt(st.v)
+        dt_calls = counts[0]
+        monkeypatch.undo()
+        du_ref, dv_ref = reference_rhs_arrays(cfg, st.u, st.v)
+        assert same_bits(k[0], du_ref) and same_bits(k[1], dv_ref)
+        # the unfolded kernels made 34 calls per right-hand side and 15
+        # per stable_dt (reductions not counted)
+        assert 20 < stage_calls <= stage_budget
+        assert 10 < dt_calls <= 14
+
+
+class TestRunStats:
+    """integrate reports on its trajectory the steps it took, its
+    stable_dt calls and its step range, counted once per output interval."""
+
+    def test_stats_count_what_the_run_did(self, monkeypatch):
+        # the step bracket is open on every interval of this run
+        cfg = cp_config(
+            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.2, 1)
+        )
+        kernel, dt_calls, steps = solver.stable_dt, [], []
+        step = solver.rk4_step
+
+        def counted_stable_dt(state, cfg):
+            dt_calls.append(state.t)
+            return kernel(state, cfg)
+
+        def counted_step(cfg, u, v, dt):
+            steps.append(dt)
+            return step(cfg, u, v, dt)
+
+        monkeypatch.setattr(solver, "stable_dt", counted_stable_dt)
+        monkeypatch.setattr(solver, "rk4_step", counted_step)
+        stats = integrate(cfg).stats
+        assert stats == {
+            "steps": len(steps), "stable_dt_calls": len(dt_calls),
+            "dt_min": min(steps), "dt_max": max(steps),
+        }
+        assert len(steps) > len(dt_calls) > 0
+
+    def test_a_failed_run_counts_up_to_the_failing_step(self, monkeypatch):
+        calls = _injecting(monkeypatch, 7, "u", 13, np.nan)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(cp_config())
+        stats = exc.value.trajectory.stats
+        assert stats["steps"] == len(calls) == 7
+        assert stats["dt_min"] == min(calls) and stats["dt_max"] == max(calls)
+
+    def test_a_failed_start_state_took_no_step(self):
+        v = np.full(64, CP_CO.v)
+        v[5] = -1.0
+        cfg = cp_config(base_state=(np.full(64, CP_CO.u), v), perturbation=Perturbation(0.0, 0))
+        with pytest.raises(NonPhysicalError) as exc:
+            integrate(cfg)
+        assert exc.value.trajectory.stats == {
+            "steps": 0, "stable_dt_calls": 0, "dt_min": None, "dt_max": None,
+        }
 
 
 class TestLookupAtCallTime:
