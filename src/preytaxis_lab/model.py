@@ -169,8 +169,13 @@ class KineticsModel:
 
     @cached_property
     def _shape_operands(self):
-        """(mu, K, lam) as ufunc operands for the closed forms of F and f."""
-        return _operands(self.mu, self.K, self.lam)
+        """(mu, K, lam, 1/K) as ufunc operands for the closed forms of F and
+        f; 1/K is None unless K is a power of two with a finite inverse,
+        the only K for which v*(1/K) is v/K for every double v."""
+        inv_K = None
+        if math.frexp(self.K)[0] == 0.5 and 1.0 / self.K < math.inf:
+            (inv_K,) = _operands(1.0 / self.K)
+        return (*_operands(self.mu, self.K, self.lam), inv_K)
 
     def _kernel(self, v, F=None, f=None, scratch=None, u=None, du=None):
         """Bind a zero-argument closure that evaluates these kinetics at ``v``
@@ -189,11 +194,14 @@ class KineticsModel:
         Operations whose result the parameters fix are folded out when the
         kernel is bound.  A factor mu or theta that is exactly 1.0 is not
         multiplied, since x*1 == x for every double, signed zeros and NaN
-        included.  gamma*u*F is formed from u*F, which the prey row needs
-        anyway: as u*F itself when gamma == 1, and as gamma*(u*F) when gamma
-        is another power of two, which equals (gamma*u)*F unless a product
-        is subnormal or overflows.  Every other element takes the
-        operations of the closed forms in their order, to the bit.
+        included.  v/K is formed as v*(1/K) when K is a power of two 2^k:
+        x/2^k and x*2^-k are the same real, rounded once, so the two agree
+        for every double, subnormal results included.  gamma*u*F is formed
+        from u*F, which the prey row needs anyway: as u*F itself when
+        gamma == 1, and as gamma*(u*F) when gamma is another power of two,
+        which equals (gamma*u)*F unless a product is subnormal or
+        overflows.  Every other element takes the operations of the closed
+        forms in their order, to the bit.
         """
         steps = []
         if self.kind is KineticsKind.CUSTOM:
@@ -201,15 +209,18 @@ class KineticsModel:
                 if out is not None:
                     steps.append((_evaluated, (evaluator, v, out)))
         else:
-            mu, K, lam = self._shape_operands
+            mu, K, lam, inv_K = self._shape_operands
             if f is not None:
                 # f = mu*v * (1 - v/K), with v for mu*v when mu == 1
                 mu_v = v
                 if self.mu != 1.0:
                     mu_v = np.empty_like(f) if scratch is None else scratch
                     steps.append((np.multiply, (mu, v, mu_v)))
+                if inv_K is None:
+                    steps.append((np.divide, (v, K, f)))
+                else:
+                    steps.append((np.multiply, (v, inv_K, f)))
                 steps += [
-                    (np.divide, (v, K, f)),
                     (np.subtract, (_ONE, f, f)),
                     (np.multiply, (mu_v, f, f)),
                 ]
@@ -350,6 +361,32 @@ class MotilityModel:
         m, r = map(float, params)
         return 1.0 / m, r / (4.0 * m)
 
+    def _scalar_d(self):
+        """Bind d(v) of one Python float v, in the operations of the
+        kernel's d at scale 1 (see ``_kernel``) with ``math.exp`` for
+        NumPy's exp; the solver binds it once per workspace.
+
+        Every other operation is correctly rounded in both, so the two
+        differ only where the exps do.  NumPy's exp need not be the C
+        library's, nor monotone to the ulp: with NumPy 2.4 on an x86_64
+        CPU with AVX-512, the two were 1 ulp apart on about 4.5% of 2M
+        arguments in [-740, 700], and never further.  A relative error e
+        in w = exp(.) gives d = 1/(m + w), m > 0, a relative error of at
+        most e, before the last two roundings.  The constant kind gives
+        ``d_const``, which its kernel fills in exactly.
+        """
+        params = self._logistic_operands
+        if params is None:
+            d_const = float(self.d_const)
+            return lambda v: d_const
+        m, r = map(float, params)
+        exp = math.exp
+
+        def d(v):
+            return 1.0 / (m + exp(min(r * (v - 1.0), _EXP_CAP)))
+
+        return d
+
     @staticmethod
     def d1() -> "MotilityModel":
         return MotilityModel(MotilityKind.D1)
@@ -403,7 +440,10 @@ class MotilityModel:
         chi; the constant kind fills in its pair.  A builtin kind binds
         (r/scale, scale) for (r, 1): (r/2)*(2x - 2) == r*(x - 1) and
         (r/2)*q == (r*q)/2 unless a result is subnormal or overflows, so d,
-        and chi times scale, keep the bits that scale 1 gives.
+        and chi times scale, keep the bits that scale 1 gives.  Where
+        r/scale is exactly 1.0 at every element (d1 and d3, r = 2, on the
+        solver's face sums), both multiplies by it are dropped, since
+        x*1 == x for every double: the kernel makes 8 ufunc calls, not 10.
         """
         params = self._logistic_operands
         if params is None:
@@ -419,6 +459,21 @@ class MotilityModel:
             r = np.divide(r, scale, out=np.empty(np.shape(scale)))
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         minimum, exp, sqrt = np.minimum, np.exp, np.sqrt
+
+        if np.all(r == 1.0):
+
+            def logistic_unit_r():
+                # logistic below, less its two multiplies by r == 1
+                subtract(v, scale, chi)
+                minimum(chi, _CAP, out=chi)
+                exp(chi, chi)
+                add(m, chi, d)
+                sqrt(chi, chi)
+                divide(chi, d, chi)
+                multiply(chi, chi, chi)
+                divide(_ONE, d, d)
+
+            return logistic_unit_r
 
         def logistic():
             # chi holds w = exp(min(r*(x - 1), cap)) and d holds s = m + w

@@ -55,11 +55,17 @@ keeps its bits:
   halved, in the right-hand side or in ``stable_dt``: the motility
   kernel reads s_v with (r/2, 2) bound where the face value v_f takes
   (r, 1), and gives chi/2, so r*(v_f - 1) is (r/2)*(s_v - 2) and
-  u_f*chi is s_u*(chi/2).
+  u_f*chi is s_u*(chi/2);
+- where r/2 is exactly 1.0 (d1 and d3, r = 2), the right-hand side's
+  motility kernel drops both multiplies by it, which is exact like the
+  first fold;
+- v/K in f is formed as v*(1/K) when K is a power of two, the same real
+  rounded once, so exact for every double.
 
-The first is exact always.  The power-of-two scalings of the other two
-are exact unless a result is subnormal (below 2.2e-308 in magnitude) or
-overflows; only there can a bit differ from the unfolded expressions.
+The first, the fourth and the fifth are exact always.  The power-of-two
+scalings of the second and third are exact unless a result is subnormal
+(below 2.2e-308 in magnitude) or overflows; only there can a bit differ
+from the unfolded expressions.
 
 ``integrate`` runs the ``stable_dt`` kernel only where it can change the
 result.  An output interval takes n_sub = max(1, ceil(interval / dt_cfl))
@@ -69,8 +75,15 @@ state: above by safety*h^2/(2D), below by the motility model's sup d and
 sup |chi| with the max minus the min of the state over both fields,
 which the step guard has already computed.  Where both ends give the same
 n_sub the kernel would give it too, so ``integrate`` takes it without
-the kernel and every bit of the result is the same; where they differ it
-calls ``stable_dt``.  Three lookups stay at call time, so wrappers bound
+the kernel and every bit of the result is the same.  Where they differ,
+``integrate`` takes the prey row's min and max (two reductions) and
+brackets dt_cfl again with d at those ends: d1-d3 decrease in v, so the
+kernel's largest d lies between d(max v) and d(min v), which a scalar
+formula with ``math.exp`` gives up to the 1-ulp gap between NumPy's exp
+and the C library's.  The upper end takes d(max v) lowered, and the lower
+end d(min v) raised, by a relative margin of 1e-12; the constant kind's d
+is exact.  Only where this bracket's ends differ too does ``integrate``
+call ``stable_dt``.  Three lookups stay at call time, so wrappers bound
 in this module by name see every call: ``integrate`` looks up
 ``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
 ``_rhs_arrays``, which picks the start-state or the stage kernel by the
@@ -344,8 +357,9 @@ class _Workspace:
     Two right-hand-side kernels are bound: ``start`` reads ``y0`` and
     writes k1 straight into ``acc``, and ``stage`` reads ``y`` and writes
     ``dy``; each returns the (2, n) cells of what it wrote, ``k1`` or
-    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own,
-    and ``dt_lower`` and ``dt_upper`` bracket its result (see
+    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own;
+    ``dt_lower`` and ``dt_upper`` bracket its result, and ``dt_prey``
+    brackets it again from the prey row's range (see
     ``_bind_dt_bracket``).  Each kernel is a closure over every buffer,
     view, 0-d operand, ufunc and model kernel it uses, so a call makes no
     attribute lookup and no dispatch on the model kinds.
@@ -414,7 +428,7 @@ class _Workspace:
         self.start = bind_rhs(self.y0, self.acc, self.k1)
         self.stage = bind_rhs(self.y, self.dy, self.k)
         self.stable_dt = _bind_stable_dt(cfg)
-        self.dt_lower, self.dt_upper = _bind_dt_bracket(cfg)
+        self.dt_lower, self.dt_upper, self.dt_prey = _bind_dt_bracket(cfg)
 
 
 def _bind_stable_dt(cfg: SolverConfig):
@@ -458,16 +472,20 @@ def _bind_stable_dt(cfg: SolverConfig):
     return stable_dt
 
 
-# Relative margin of the bracket's lower end on ``stable_dt``: it covers
-# the few roundings (each <= 1.1e-16 relative) by which the computed chi
-# and the bracket's own arithmetic can stray from the exact bound.
+# Relative margin of the brackets' ends on ``stable_dt``: it covers the
+# few roundings (each <= 1.1e-16 relative) by which the computed chi and
+# the brackets' own arithmetic can stray from the exact bounds, and the gap
+# between NumPy's exp and the C library's in the prey bracket's d (1 ulp
+# where measured; the margin is about 4500).
 _BRACKET_MARGIN = 1e-12
 
 
 def _bind_dt_bracket(cfg: SolverConfig):
-    """The workspace's bracket on the ``stable_dt`` kernel's result:
-    ``(lower, upper)``, where ``lower(spread)`` takes the max minus the min
-    of a state over both fields and ``upper`` is a run constant.
+    """The workspace's brackets on the ``stable_dt`` kernel's result:
+    ``(lower, upper, prey)``, where ``lower(spread)`` takes the max minus
+    the min of a state over both fields, ``upper`` is a run constant, and
+    ``prey(v_min, v_max)`` gives a tighter ``(lower, upper)`` from the
+    prey row's min and max.
 
     ``upper`` is safety*h^2/(2D) in the kernel's order of operations:
     max(d, D) >= D, and every later operation is correctly rounded and
@@ -478,22 +496,44 @@ def _bind_dt_bracket(cfg: SolverConfig):
     result lowered by ``_BRACKET_MARGIN``, which covers the roundings of
     the computed chi and of both expressions.
 
-    For an interval of length delta and n = max(1, ceil(delta/upper)),
-    delta <= n*lower(spread) means the kernel's count
-    max(1, ceil(delta/dt_cfl)) is n as well: lower's margin keeps
-    delta/dt_cfl below n through the rounding of n*lower.
+    ``prey`` bounds the kernel's largest d by d at the prey row's ends.
+    d1-d3 decrease in v, and so does the kernel's d up to its exp: v - 1,
+    the product with r > 0, the cap and the operations after exp are
+    correctly rounded and monotone.  So every cell's d lies between d at
+    v_max and d at v_min, which ``MotilityModel._scalar_d`` gives up to
+    the gap between NumPy's exp and ``math.exp``; for the constant kind
+    they are d_const exactly.  ``prey``'s upper end takes d(v_max)
+    lowered by the margin in place of D's floor alone, and its lower end
+    d(v_min) raised by the margin in place of sup d, with v_max - v_min
+    as the spread, which bounds every prey face difference.
+
+    For an interval of length delta and n = max(1, ceil(delta/u)), with u
+    either upper end, delta <= n*l (l the matching lower end) means the
+    kernel's count max(1, ceil(delta/dt_cfl)) is n as well: the lower end's
+    margin keeps delta/dt_cfl below n through the rounding of n*l.
     """
     h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
     d_sup, chi_sup = cfg.mot.sup_d_chi
+    d_at = cfg.mot._scalar_d()
     upper = safety * (h * h / (2.0 * D))
     dt_diff = h * h / (2.0 * max(d_sup, D))
     rate = chi_sup * (1.0 + _BRACKET_MARGIN) / h
     shrink = safety * (1.0 - _BRACKET_MARGIN)
+    d_low, d_high = 1.0 - _BRACKET_MARGIN, 1.0 + _BRACKET_MARGIN
 
     def lower(spread):
         return shrink * min(dt_diff, h / (rate * spread + 1e-300))
 
-    return lower, upper
+    def prey(v_min, v_max):
+        return (
+            shrink * min(
+                h * h / (2.0 * max(d_at(v_min) * d_high, D)),
+                h / (rate * (v_max - v_min) + 1e-300),
+            ),
+            safety * (h * h / (2.0 * max(d_at(v_max) * d_low, D))),
+        )
+
+    return lower, upper, prey
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -801,7 +841,9 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     on dt_cfl (run constants and the max minus min of the state, which the
     step guard computes) gives n_sub without the ``stable_dt`` kernel when
     its two ends agree: it is the kernel's count then, so the result keeps
-    every bit.  ``stable_dt`` runs only on intervals where the ends differ.
+    every bit.  Where they differ, the tighter bracket from the prey row's
+    min and max (two reductions) is tried, and ``stable_dt`` runs only on
+    intervals where its ends differ too.
 
     The trajectory's ``stats`` hold ``steps`` (steps taken),
     ``stable_dt_calls`` and the smallest and largest step, ``dt_min`` and
@@ -839,17 +881,21 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
     step = rk4_step if cfg.scheme == "rk4" else imex_step
-    dt_lower, dt_upper = cfg._workspace.dt_lower, cfg._workspace.dt_upper
+    ws = cfg._workspace
+    dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
     t = 0.0
     for idx in range(1, events.size):
         t_next = float(events[idx])
         delta = t_next - t
-        # dt depends on stable_dt only through n_sub, and where the
-        # bracket fixes n_sub the kernel would give the same count
+        # dt depends on stable_dt only through n_sub, and where a bracket
+        # fixes n_sub the kernel would give the same count
         n_sub = max(1, math.ceil(delta / dt_upper))
         if delta > n_sub * dt_lower(float(hi - lo)):
-            dt_calls += 1
-            n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
+            lower, upper = dt_prey(float(smallest(v)), float(largest(v)))
+            n_sub = max(1, math.ceil(delta / upper))
+            if delta > n_sub * lower:
+                dt_calls += 1
+                n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
         dt = delta / n_sub
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         for i in range(n_sub):

@@ -1043,8 +1043,10 @@ class TestSimulateReports:
         v1 = np.array([float(r[header.index("V1")]) for r in rows])
         assert decay["max_increase_V1"] == float(np.max(np.diff(v1))) < 0.0
         assert decay["max_increase_V2"] is None
+        # the prey row's bracket fixes every interval's step count on this
+        # run (d is about 0.0025 < D), so the stable_dt kernel never runs
         stats = manifest["run_stats"]
-        assert 1 <= stats["stable_dt_calls"] <= stats["steps"]
+        assert stats["stable_dt_calls"] == 0 < stats["steps"]
         assert 0.0 < stats["dt_min"] <= stats["dt_max"]
 
     def test_run_stats_of_a_guard_trip(self, tmp_path, monkeypatch):

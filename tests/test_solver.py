@@ -932,9 +932,10 @@ def _shipped_models(name):
 
 class TestFoldedKernels:
     """The kinetics and motility kernels fold the operations the run's
-    constants fix when they are bound (a factor of exactly 1, gamma a power
-    of two, the halving of face sums): each right-hand side makes fewer
-    ufunc calls, and every element keeps the bits of the plain expressions."""
+    constants fix when they are bound (a factor of exactly 1, gamma and K
+    powers of two, the halving of face sums, r/2 == 1 on face sums): each
+    right-hand side makes fewer ufunc calls, and every element keeps the
+    bits of the plain expressions."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -942,17 +943,18 @@ class TestFoldedKernels:
         mu=hyp.sampled_from([1.0, 1.5]),
         theta=hyp.sampled_from([1.0, 0.7]),
         alpha=hyp.sampled_from([0.0, 0.3]),
+        K=hyp.sampled_from([4.0, 3.0]),
         mot_name=hyp.sampled_from(sorted(MOTILITIES)),
         kin_name=hyp.sampled_from(["lv", "rm"]),
         state=hyp.lists(hyp.floats(1e-3, 10.0), min_size=32, max_size=32),
     )
     def test_kernels_match_the_references_to_the_bit(
-        self, gamma, mu, theta, alpha, mot_name, kin_name, state
+        self, gamma, mu, theta, alpha, K, mot_name, kin_name, state
     ):
         if kin_name == "lv":
-            kin = KineticsModel.lotka_volterra(gamma, theta, alpha, mu, 4.0)
+            kin = KineticsModel.lotka_volterra(gamma, theta, alpha, mu, K)
         else:
-            kin = KineticsModel.rosenzweig_macarthur(gamma, theta, mu, 4.0, 1.5, alpha=alpha)
+            kin = KineticsModel.rosenzweig_macarthur(gamma, theta, mu, K, 1.5, alpha=alpha)
         u, v = np.array(state).reshape(2, 16)
         cfg = cp_config(
             kin=kin, mot=MOTILITIES[mot_name], grid=Grid1D(3.0, 16), base_state=(u, v),
@@ -962,7 +964,7 @@ class TestFoldedKernels:
         # closed forms written here
         F_ref = v + 0.0 if kin_name == "lv" else v / (1.5 + v)
         assert same_bits(kin.F(v), F_ref)
-        assert same_bits(kin.f(v), mu * v * (1.0 - v / 4.0))
+        assert same_bits(kin.f(v), mu * v * (1.0 - v / K))
         du, dv = solver._rhs_arrays(cfg, u, v)
         du_ref, dv_ref = reference_rhs_arrays(cfg, u, v)
         assert same_bits(du, du_ref) and same_bits(dv, dv_ref)
@@ -972,7 +974,9 @@ class TestFoldedKernels:
         u_ref, v_ref = reference_rk4_step(cfg, u, v, dt)
         assert same_bits(y[0], u_ref) and same_bits(y[1], v_ref)
 
-    @pytest.mark.parametrize("config, stage_budget", [("case2", 30), ("decay", 29)])
+    @pytest.mark.parametrize(
+        "config, stage_budget", [("case1", 28), ("case2", 30), ("case3", 28), ("decay", 27)]
+    )
     def test_ufunc_calls_per_right_hand_side(self, monkeypatch, config, stage_budget):
         kin, mot = _shipped_models(config)
         eq = compute_equilibria(kin)
@@ -998,7 +1002,8 @@ class TestFoldedKernels:
         du_ref, dv_ref = reference_rhs_arrays(cfg, st.u, st.v)
         assert same_bits(k[0], du_ref) and same_bits(k[1], dv_ref)
         # the unfolded kernels made 34 calls per right-hand side and 15
-        # per stable_dt (reductions not counted)
+        # per stable_dt (reductions not counted); d1 and d3 drop two more
+        # on face sums, where r/2 == 1
         assert 20 < stage_calls <= stage_budget
         assert 10 < dt_calls <= 14
 
@@ -1008,9 +1013,10 @@ class TestRunStats:
     stable_dt calls and its step range, counted once per output interval."""
 
     def test_stats_count_what_the_run_did(self, monkeypatch):
-        # the step bracket is open on every interval of this run
+        # both step brackets (run constants, then the prey row's range) are
+        # open on every interval of this run
         cfg = cp_config(
-            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.2, 1)
+            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.5, 1)
         )
         kernel, dt_calls, steps = solver.stable_dt, [], []
         step = solver.rk4_step
@@ -1059,7 +1065,7 @@ class TestLookupAtCallTime:
 
     def test_pair_returning_wrappers_leave_integrate_bit_identical(self, monkeypatch):
         cfg = cp_config(
-            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.2, 1)
+            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.5, 1)
         )
         expected = integrate(dataclasses.replace(cfg))
         rhs_arrays, step, step_size = solver._rhs_arrays, solver.rk4_step, solver.stable_dt
@@ -1087,9 +1093,9 @@ class TestLookupAtCallTime:
         for got, ref in zip(traj.snapshots, expected.snapshots, strict=True):
             assert got.t == ref.t and np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
         _assert_series_equal(traj.series, vars(expected.series))
-        # one stable_dt per output interval (on this run the step bracket is
-        # open on every interval), ceil(interval / dt) steps in it and four
-        # right-hand sides per step
+        # one stable_dt per output interval (on this run both step brackets
+        # are open on every interval), ceil(interval / dt) steps in it and
+        # four right-hand sides per step
         events = np.union1d(
             np.linspace(0.0, cfg.t_end, cfg.series_count),
             np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
@@ -1103,20 +1109,37 @@ class TestLookupAtCallTime:
 
 
 def _bracket_state(rng, shape, mot, n):
-    """(u, v) of a flat, a steep or a large state for the bracket tests.
+    """(u, v) of a flat, an even, a steep, a large or a capped state for the
+    bracket tests.
 
     The steep state is two-valued in v, around the v where chi peaks (for
     d1-d3; anywhere for the constant kind), with u inside v's range, so
     max - min over both fields is exactly the largest face difference and
     the bracket's advective end is tight.  Its jumps reach 2000, below
     v = 0 too: for d1-d3 the advective bound binds only on such jumps, and
-    the bracket holds on any finite state."""
+    the bracket holds on any finite state.  The even state has one v in
+    every cell, so the prey bracket's two ends read d at the kernel's own
+    v.  Where one of 4096 candidates has it, that v is one whose d the
+    kernel rounds below the scalar d of ``_scalar_d`` (NumPy's exp above
+    ``math.exp``), so the upper end needs its margin; the candidates lie
+    in [-1, 2], where d1-d3 are at least 0.1.  The capped state puts
+    r*(v - 1) within 2r of the exp cap, on both sides of it (for the
+    constant kind, v near 351)."""
+    params = mot._logistic_operands
     if shape == "flat":
         u0, v0 = rng.uniform(0.1, 5.0, 2)
         return u0 * (1.0 + 1e-6 * rng.uniform(-1, 1, n)), v0 * (1.0 + 1e-6 * rng.uniform(-1, 1, n))
+    if shape == "even":
+        v = rng.uniform(-1.0, 2.0, 4096)
+        scalar_d = mot._scalar_d()
+        below = mot.d(v) < np.array([scalar_d(x) for x in v])
+        v = v[below] if below.any() else v
+        return np.full(n, rng.uniform(0.1, 5.0)), np.full(n, v[0])
     if shape == "large":
         return 10.0 ** rng.uniform(-8.0, 6.0, (2, n))
-    params = mot._logistic_operands
+    if shape == "cap":
+        v_cap = 1.0 + _EXP_CAP / (2.0 if params is None else float(params[1]))
+        return rng.uniform(0.1, 5.0, n), v_cap + rng.uniform(-2.0, 2.0) * rng.uniform(0.0, 1.0, n)
     v_star = rng.uniform(0.5, 3.0) if params is None else 1.0 + math.log(params[0]) / params[1]
     a = 10.0 ** rng.uniform(-3.0, 3.0)
     v = np.where(np.arange(n) % 2 == rng.integers(2), v_star - a, v_star + a)
@@ -1220,6 +1243,90 @@ class TestStepBracket:
         assert calls == []
         snaps, series, counts = _reference_run(cfg)
         assert max(counts) == steps  # (an event pair an ulp apart takes one)
+        assert len(traj.snapshots) == len(snaps)
+        for got, (t, u, v) in zip(traj.snapshots, snaps):
+            assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
+        for name, ref in reference_series(cfg, series).items():
+            assert same_bits(getattr(traj.series, name), ref), name
+
+
+class TestPreyBracket:
+    """Where the run-constant bracket leaves an interval's step count open,
+    integrate brackets the stable_dt kernel again from the prey row's min
+    and max, and runs the kernel only when that bracket is open too."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=hyp.sampled_from(["d1", "d2", "d3", "constant"]),
+        d_const=hyp.floats(1e-3, 10.0),
+        chi_const=hyp.floats(-20.0, 20.0),
+        log_D=hyp.floats(-4.0, 1.5),
+        n=hyp.integers(8, 256),
+        ell=hyp.floats(0.1, 200.0),
+        cfl=hyp.floats(1e-6, 1.0),
+        shape=hyp.sampled_from(["flat", "even", "steep", "large", "cap"]),
+        seed=hyp.integers(0, 2**32 - 1),
+    )
+    def test_bracket_holds_the_kernel_step_count(
+        self, kind, d_const, chi_const, log_D, n, ell, cfl, shape, seed
+    ):
+        # D log-uniform, so that d above D, where the prey bracket's d
+        # sets its ends, is common
+        D = 10.0**log_D
+        if kind == "constant":
+            mot = MotilityModel.constant(d_const, chi_const)
+        else:
+            mot = MotilityModel(MotilityKind(kind))
+        cfg = cp_config(mot=mot, D=D, grid=Grid1D(ell, n), cfl_safety=cfl)
+        rng = np.random.default_rng(seed)
+        u, v = _bracket_state(rng, shape, mot, n)
+        dt = stable_dt(State(0.0, u, v), cfg)
+        ws = cfg._workspace
+        lower, upper = ws.dt_prey(float(v.min()), float(v.max()))
+        assert lower <= dt <= upper
+        assert upper <= ws.dt_upper
+        deltas = list(dt * 10.0 ** rng.uniform(-3.0, 3.0, 4))
+        for k in (1, 2, 3, 7):
+            for edge in (k * dt, k * lower, k * upper):
+                deltas += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+        for delta in map(float, deltas):
+            n_cfl = max(1, math.ceil(delta / dt))
+            n_lo = max(1, math.ceil(delta / upper))
+            assert n_lo <= n_cfl
+            if delta <= n_lo * lower:  # integrate's test for a closed bracket
+                assert n_cfl == n_lo
+
+    def test_decay_run_makes_no_kernel_call(self, monkeypatch):
+        # the decay fixture of the acceptance suite: d1 at 128 cells,
+        # D = 0.1, prey-only.  The run-constant bracket is open on every
+        # interval (sup d = 1 > D, where d is about 0.0025), even at its
+        # largest lower end, which spread 0 gives
+        kin = KineticsModel.rosenzweig_macarthur(1, 1, 1, 4, 1)
+        cfg = cp_config(
+            kin=kin, D=0.1, grid=Grid1D(4 * math.pi, 128), t_end=120.0,
+            base_state=compute_equilibria(kin).prey_only, perturbation=Perturbation(0.01, 0),
+            series_count=600, snapshot_count=50,
+        )
+        ws = cfg._workspace
+        events = np.union1d(
+            np.linspace(0.0, cfg.t_end, cfg.series_count),
+            np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
+        )
+        assert all(
+            delta > max(1, math.ceil(delta / ws.dt_upper)) * ws.dt_lower(0.0)
+            for delta in map(float, np.diff(events))
+        )
+        kernel, calls = solver.stable_dt, []
+
+        def counted(state, cfg):
+            calls.append(state.t)
+            return kernel(state, cfg)
+
+        monkeypatch.setattr(solver, "stable_dt", counted)
+        traj = integrate(cfg)
+        assert calls == [] and traj.stats["stable_dt_calls"] == 0
+        snaps, series, counts = _reference_run(cfg)
+        assert traj.stats["steps"] == sum(counts)
         assert len(traj.snapshots) == len(snaps)
         for got, (t, u, v) in zip(traj.snapshots, snaps):
             assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
