@@ -252,13 +252,16 @@ def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def decay_fit(series: "TimeSeries", eq: Equilibrium, tail_fraction: float = 0.5) -> DecayFit:
     """Fit the decay of the deviation from eq over the tail of a run.
 
-    Uses the sup-norm of u toward a prey-only or extinction state and the
-    L2 deviation of u toward a coexistence state; compares the exponential
-    hypothesis (log norm vs t) against the algebraic one (log norm vs
-    log(1+t)).
+    Uses the sup-norm of u toward a prey-only or extinction state, and
+    toward a coexistence state the joint L2 deviation of both fields,
+    (l2_dev_u^2 + l2_dev_v^2)^(1/2).  Near a focus each field's own
+    deviation passes near zero every half-period while the joint one
+    decays at the rate of the slowest linear mode; compares the
+    exponential hypothesis (log norm vs t) against the algebraic one
+    (log norm vs log(1+t)).
     """
     if eq.kind is EquilibriumKind.COEXISTENCE:
-        norm = np.asarray(series.l2_dev_u, dtype=float)
+        norm = np.hypot(series.l2_dev_u, series.l2_dev_v)
     else:
         norm = np.maximum(np.abs(series.max_u), np.abs(series.min_u))
     t = np.asarray(series.t, dtype=float)

@@ -32,12 +32,16 @@ that no flux reads, and the divergence lane between the rows is
 (+0.0) - (-0.0) = +0.0, on row 0's pad.  The three stage builds and the
 k1 + 2k2 + 2k3 + k4 sum each take one call on whole blocks.  Every call
 writes into a workspace buffer, so a right-hand side with builtin
-kinetics allocates nothing.  A step copies its start state into the
-workspace once and evaluates k1 there, straight into the sum; its
-0.5*dt, dt and dt/6 are set only when dt changes, once per output
-interval in ``integrate``; and it returns the new state as the (2, n)
-cells of one new (2, n + 1) block, which ``integrate`` checks with one
-maximum and one minimum reduction, on the cells alone.  ``stable_dt``
+kinetics allocates nothing.  A step evaluates k1 on its start state in
+the workspace's start block ``y0``, straight into the sum; its 0.5*dt,
+dt and dt/6 are set only when dt changes, once per output interval in
+``integrate``.  ``integrate`` keeps the run's state in ``y0`` itself: it
+copies the start state into ``y0``'s cells once and hands every step
+that block's own rows, so a step copies nothing in, writes the new state
+over ``y0`` and returns the workspace's view of its cells, which
+``integrate`` checks with one maximum and one minimum reduction, on the
+cells alone.  Given any other arrays, a step copies them into ``y0``
+first and returns the new state as the cells of a new block.  ``stable_dt``
 runs a kernel of the same workspace, in buffers of its own, and divides
 the largest advective term by h once (doubled first: its face buffers
 hold chi/2).
@@ -92,9 +96,11 @@ NumPy's per-call cost and the interpreter's work around it, not by
 arithmetic, so fewer and cheaper calls make it faster; every element
 still takes the operations of the plain expressions in their order, up
 to the folds above, so results are the same to the last bit.
-``rk4_step`` and ``rhs`` return new arrays, never workspace buffers.  A
-workspace is scratch for one caller at a time: a SolverConfig must not
-be stepped, nor passed to ``stable_dt``, from two threads at once.
+``rhs`` returns new arrays, and so does ``rk4_step`` except on the
+workspace's own rows ``u0`` and ``v0``, where it returns the view of
+``y0``'s cells that the next such step overwrites.  A workspace is
+scratch for one caller at a time: a SolverConfig must not be stepped,
+nor passed to ``stable_dt``, from two threads at once.
 """
 
 from __future__ import annotations
@@ -341,12 +347,13 @@ class _Workspace:
     Every buffer is one C-contiguous (2, n + 1) block: row 0 holds the
     predator u, row 1 the prey v, each as its n cells and then one pad
     lane that starts at +0.0 and stays +0.0.  ``y0`` holds the step's
-    start state, ``y`` the stage state, ``acc`` the k1 + 2k2 + 2k3 + k4
-    sum, ``tmp`` scratch, ``dy`` the stage derivative, ``react`` the
-    reaction and ``flux`` the face flux (its ends are the zero-flux
-    boundaries).  NumPy runs a ufunc over a whole contiguous block as one
-    1-D loop, so a stage build or a step of the sum is one fast call for
-    both fields.  The face sums and differences and the flux divergence,
+    start state, and ``cells`` is the view of its (2, n) cells that a step
+    on ``y0``'s own rows ``u0`` and ``v0`` returns.  ``y`` holds the stage
+    state, ``acc`` the k1 + 2k2 + 2k3 + k4 sum, ``tmp`` scratch, ``dy``
+    the stage derivative, ``react`` the reaction and ``flux`` the face
+    flux (its ends are the zero-flux boundaries).  NumPy runs a ufunc
+    over a whole contiguous block as one 1-D loop, so a stage build or a
+    step of the sum is one fast call for both fields.  The face sums and differences and the flux divergence,
     which pair each lane with the next, run on flat views of the blocks,
     [u, pad, v, pad], as one contiguous 1-D call each; on strided (2, .)
     views NumPy goes through its general iterator.  Two lanes of those
@@ -374,7 +381,8 @@ class _Workspace:
         # np.zeros gives every pad lane its +0.0
         self.blocks = np.zeros((6, 2, n + 1))
         self.y0, self.y, self.dy, self.acc, self.tmp, react = self.blocks
-        self.u0, self.v0 = self.y0[:, :n]
+        self.cells = self.y0[:, :n]
+        self.u0, self.v0 = self.cells
         self.u, self.v = self.y[:, :n]
         self.k, self.k1 = self.dy[:, :n], self.acc[:, :n]
         # face sums hold (su, sv) = (2uf, 2vf) and face differences
@@ -583,13 +591,20 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
 
 def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step; returns the new state as one (2, n) array,
-    the cells of a new (2, n + 1) block, which callers unpack as ``u, v``.
+    which callers unpack as ``u, v``.
 
-    The stages run in the config's workspace.  The start state is copied
-    into ``y0`` once and k1 is evaluated on it in place, straight into the
-    sum ``acc``.  Each stage build and the k1 + 2k2 + 2k3 + k4 sum take one
-    call on whole (2, n + 1) blocks, pads included, with the operation
-    order of u + 0.5*dt*k1u, ..., u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).
+    The stages run in the config's workspace, from its start block ``y0``.
+    Given ``y0``'s own rows (``u`` is ``ws.u0`` and ``v`` is ``ws.v0``, the
+    identity test ``_rhs_arrays`` makes), the step advances that state in
+    place: it copies nothing in, writes the new state over ``y0`` and
+    returns ``ws.cells``, the view of ``y0``'s cells, which the next step
+    overwrites.  ``integrate`` steps this way.  Any other arrays are copied
+    into ``y0`` first, and the result is the cells of a new (2, n + 1)
+    block that no later call touches.  k1 is evaluated on ``y0`` in place,
+    straight into the sum ``acc``.  Each stage build and the
+    k1 + 2k2 + 2k3 + k4 sum take one call on whole (2, n + 1) blocks, pads
+    included, with the operation order of u + 0.5*dt*k1u, ...,
+    u + dt/6*(k1u + 2*k2u + 2*k3u + k4u).
     0.5*dt, dt and dt/6 are refilled only when ``dt`` is not the object the
     last step was given; ``integrate`` gives one object to every step of an
     output interval.  ``_rhs_arrays`` is looked up at call time; a result
@@ -606,8 +621,10 @@ def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.n
     u0, v0, u1, v1, k1, k_cells = ws.u0, ws.v0, ws.u, ws.v, ws.k1, ws.k
     c_half = ws.c_half
     multiply, add = np.multiply, np.add
-    u0[...] = u
-    v0[...] = v
+    in_place = u is u0 and v is v0
+    if not in_place:
+        u0[...] = u
+        v0[...] = v
     k = _rhs_arrays(cfg, u0, v0)  # k1
     if k is not k1:
         k1[...] = k
@@ -632,6 +649,9 @@ def rk4_step(cfg: SolverConfig, u: np.ndarray, v: np.ndarray, dt: float) -> np.n
         k_cells[...] = k
     add(acc, dy, acc)
     multiply(ws.c_sixth, acc, acc)
+    if in_place:
+        add(y0, acc, y0)
+        return ws.cells
     return add(y0, acc)[:, : u0.size]
 
 
@@ -845,6 +865,13 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     min and max (two reductions) is tried, and ``stable_dt`` runs only on
     intervals where its ends differ too.
 
+    The run's state lives in the workspace's start block ``y0``: the start
+    state is copied into its cells once, and every step is given its rows
+    ``u0`` and ``v0``, so ``rk4_step`` advances it in place and returns the
+    view ``ws.cells``.  A step result that is not that view (a ``(u, v)``
+    pair from a wrapper, or IMEX's) is copied into it.  Snapshots and the
+    series recorder copy the state out.
+
     The trajectory's ``stats`` hold ``steps`` (steps taken),
     ``stable_dt_calls`` and the smallest and largest step, ``dt_min`` and
     ``dt_max`` (None before the first step).  They are counted once per
@@ -857,21 +884,24 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     fails the guard), and the guard, cell and value that tripped.
     """
     state = init_state(cfg)
-    u, v = state.u, state.v
     series_t = np.linspace(0.0, cfg.t_end, cfg.series_count)
     snap_t = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)
     events = np.union1d(series_t, snap_t)
-    in_series = np.isin(events, series_t)
-    in_snap = np.isin(events, snap_t)
+    in_series = np.isin(events, series_t).tolist()
+    in_snap = np.isin(events, snap_t).tolist()
+    events = events.tolist()
 
     rec = _SeriesRecorder(cfg)
     snapshots: list[State] = []
+    ws = cfg._workspace
+    y, u, v = ws.cells, ws.u0, ws.v0
+    u[...] = state.u
+    v[...] = state.v
     # maximum and minimum propagate NaN, which fails every comparison, and
     # +-inf fail the limits: two reductions over both fields catch every
     # non-finite value.  _guard_error works out which guard tripped.  The
     # start state is checked like a step's result, before it is recorded.
     largest, smallest = np.maximum.reduce, np.minimum.reduce
-    y = np.stack((u, v))
     hi, lo = largest(y, None), smallest(y, None)
     steps = dt_calls = 0
     dt_min, dt_max = math.inf, 0.0
@@ -881,11 +911,9 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
     step = rk4_step if cfg.scheme == "rk4" else imex_step
-    ws = cfg._workspace
     dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
     t = 0.0
-    for idx in range(1, events.size):
-        t_next = float(events[idx])
+    for t_next, series_row, snap_row in zip(events[1:], in_series[1:], in_snap[1:]):
         delta = t_next - t
         # dt depends on stable_dt only through n_sub, and where a bracket
         # fixes n_sub the kernel would give the same count
@@ -899,18 +927,20 @@ def integrate(cfg: SolverConfig) -> Trajectory:
         dt = delta / n_sub
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         for i in range(n_sub):
-            # imex_step, and a wrapper bound over rk4_step, may return a (u, v) pair
-            y = np.asarray(step(cfg, u, v, dt))
-            u, v = y
+            new = step(cfg, u, v, dt)
+            # rk4_step advances y in place; imex_step, and a wrapper bound
+            # over rk4_step, may return a new array or a (u, v) pair
+            if new is not y:
+                y[...] = new
             hi, lo = largest(y, None), smallest(y, None)
             if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
                 stats = _run_stats(steps + i + 1, dt_calls, dt_min, dt_max)
                 raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec, stats)
         steps += n_sub
         t = t_next
-        if in_series[idx]:
+        if series_row:
             rec.record(t, y)
-        if in_snap[idx]:
+        if snap_row:
             snapshots.append(State(t, u.copy(), v.copy()))
     stats = _run_stats(steps, dt_calls, dt_min, dt_max)
     return Trajectory(cfg.grid, snapshots, rec.finalize(), stats=stats)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_max_lag_correlation, run_fresh_python, same_bits
+from preytaxis_lab.cli import main
 from preytaxis_lab.diagnostics import (
     QUAD_TOL,
     DecayVerdict,
@@ -18,6 +20,7 @@ from preytaxis_lab.diagnostics import (
     zeta,
     zeta_by_quadrature,
 )
+from preytaxis_lab.linstab import dispersion, linearize
 from preytaxis_lab.model import (
     KineticsModel,
     MotilityModel,
@@ -347,6 +350,88 @@ class TestDecayFit:
         prey = compute_equilibria(CP_KIN).prey_only
         with pytest.raises(InsufficientDataError):
             decay_fit(series, prey)
+
+
+LV_COEXISTENCE = """
+[model]
+kind = lv
+gamma = 1
+theta = {theta}
+alpha = 0
+mu = 1
+K = 1
+
+[motility]
+kind = d1
+
+[domain]
+length = {length!r}
+n_cells = 128
+
+[solver]
+scheme = rk4
+t_end = {t_end}
+epsilon = 0.01
+seed = 0
+
+[analysis]
+D = 1
+"""
+
+
+def _linear_rate(kin, mot, D, co, grid):
+    """-max Re lambda over the Neumann modes n = 0..N-1 of the grid, each at
+    its grid symbol kappa_n = (4/h^2) sin^2(n pi h/(2 ell)), the discrete
+    Laplacian's eigenvalue."""
+    lin = linearize(kin, mot, D, co)
+    h = grid.h
+    kappa = [
+        4.0 / h**2 * math.sin(n * math.pi * h / (2.0 * grid.ell)) ** 2 for n in range(grid.n_cells)
+    ]
+    return -max(max(r.real for r in dispersion(lin, math.sqrt(k)).rho) for k in kappa)
+
+
+class TestCoexistenceDecay:
+    """Toward a coexistence state the decay fit reads the joint deviation
+    of both fields, which decays at the rate of the slowest linear mode,
+    at a focus (complex eigenvalues) as at a node.  Runs through
+    ``simulate``, so the manifest's decay block is what is checked."""
+
+    @pytest.mark.parametrize(
+        "theta, t_end, complex_pair", [(0.5, 60, True), (0.9, 80, False)], ids=["focus", "node"]
+    )
+    def test_rate_is_the_slowest_linear_mode(self, tmp_path, theta, t_end, complex_pair):
+        length = 4 * math.pi
+        path = tmp_path / "lv.ini"
+        path.write_text(LV_COEXISTENCE.format(theta=theta, length=length, t_end=t_end))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        decay = json.loads((out / "manifest.json").read_text())["decay"]
+        assert decay["target"] == "coexistence"
+
+        kin, mot = KineticsModel.lotka_volterra(1, theta, 0, 1, 1), MotilityModel.d1()
+        co = compute_equilibria(kin).coexistence
+        # the slowest mode is the flat one, a focus or a node as named
+        rho = dispersion(linearize(kin, mot, 1.0, co), 0.0).rho
+        assert (rho[0].imag != 0.0) is complex_pair
+        r_lin = _linear_rate(kin, mot, 1.0, co, Grid1D(length, 128))
+        assert decay["verdict"] == "exponential", decay
+        assert abs(decay["rate"] - r_lin) <= 0.02 * r_lin, (decay["rate"], r_lin)
+
+        # the fit is decay_fit's on the written series; the predator's
+        # deviation alone, the norm fitted before, misses the focus's rate
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert lines[0].split(",")[7:9] == ["l2_dev_u", "l2_dev_v"]
+        cols = np.array([[float(f) for f in line.split(",")[:9]] for line in lines[1:]])
+        t, l2_dev_u, l2_dev_v = cols[:, 0], cols[:, 7], cols[:, 8]
+        series = flat_series(t, mass_u=cols[:, 1], l2_dev_u=l2_dev_u)
+        joint = decay_fit(dataclasses.replace(series, l2_dev_v=l2_dev_v), co)
+        assert (joint.verdict.value, joint.rate, joint.r_squared) == (
+            decay["verdict"], decay["rate"], decay["r_squared"],
+        )
+        fit = decay_fit(series, co)
+        meets = fit.verdict is DecayVerdict.EXPONENTIAL and abs(fit.rate - r_lin) <= 0.02 * r_lin
+        assert meets is not complex_pair, fit
 
 
 class TestTrajectoryMonotonicity:

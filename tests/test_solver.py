@@ -705,6 +705,43 @@ class TestWorkspace:
         assert np.array_equal(u_cfg, expected[3][0]) and np.array_equal(v_cfg, expected[3][1])
 
 
+class TestInPlaceStep:
+    """rk4_step advances the workspace's start block in place only when it
+    is given that block's own rows (as integrate does); any other caller
+    gets a new array that shares no memory with the workspace and that no
+    later step changes."""
+
+    def _start(self):
+        cfg = cp_config(perturbation=Perturbation(0.2, 1))
+        st = init_state(cfg)
+        return cfg, st, stable_dt(st, cfg)
+
+    def test_caller_arrays_get_a_new_array(self):
+        cfg, st, dt = self._start()
+        ws = cfg._workspace
+        y = rk4_step(cfg, st.u, st.v, dt)
+        assert not np.shares_memory(y, ws.blocks)
+        kept = y.copy()
+        u, v = rk4_step(cfg, y[0], y[1], dt)
+        ws.u0[...], ws.v0[...] = u, v
+        rk4_step(cfg, ws.u0, ws.v0, dt)
+        rk4_step(cfg, st.u, st.v, dt)
+        assert same_bits(y, kept)
+
+    def test_workspace_rows_step_in_place(self):
+        cfg, st, dt = self._start()
+        ws = cfg._workspace
+        ws.u0[...], ws.v0[...] = st.u, st.v
+        u, v = st.u, st.v
+        for _ in range(3):
+            y = rk4_step(cfg, ws.u0, ws.v0, dt)
+            assert y is ws.cells and np.shares_memory(y, ws.y0)
+            u, v = reference_rk4_step(cfg, u, v, dt)
+            assert same_bits(y[0], u) and same_bits(y[1], v)
+        pads = ws.blocks[:, :, -1]
+        assert np.all(pads == 0.0) and not np.signbit(pads).any()
+
+
 class TestStableDtInTheWorkspace:
     """stable_dt shares the config's workspace with rhs and rk4_step: calls
     interleaved on one config give what separate configs give."""
