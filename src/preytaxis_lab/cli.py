@@ -56,11 +56,13 @@ from .diagnostics import (
     InsufficientDataError,
     classify_pattern,
     decay_fit,
+    tail_rows,
 )
 from .linstab import (
     StabilityClass,
     beta_coefficients,
     dispersion,
+    grid_decay_rate,
     hopf_band,
     linearize,
     min_stabilizing_D,
@@ -613,9 +615,10 @@ def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
     regime (prey-only, or coexistence with D above the threshold).
 
     The block also records the largest one-row increase of V1 and of V2,
-    which the paper's functionals do not have in those regimes, and in
-    the prey-only regimes the predicted rate theta - gamma*F(K) of the
-    predator's exponential decay."""
+    which the paper's functionals do not have in those regimes, the rate
+    of the slowest linear mode on the run's grid at the target
+    (``linear_rate``), and in the prey-only regimes the predicted rate
+    theta - gamma*F(K) of the predator's exponential decay."""
     v0_max = float(traj.snapshots[0].v.max()) if traj.snapshots else kin.K
     try:
         report = global_stability_report(kin, mot, rc.D, v0_max)
@@ -638,6 +641,7 @@ def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
         "target": target.kind.value,
         "max_increase_V1": _largest_increase(traj.series.V1),
         "max_increase_V2": _largest_increase(traj.series.V2),
+        "linear_rate": grid_decay_rate(linearize(kin, mot, rc.D, target), rc.length, rc.n_cells),
     }
     if target is eqs.prey_only:
         decay["predicted_rate"] = kin.theta - report.gamma_F_K
@@ -645,6 +649,8 @@ def _attach_decay(run: _Run, rc: RunConfig, kin, mot, eqs, traj: Trajectory):
 
 
 def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):
+    """The sweep.csv row of one diffusivity, and with ``simulate`` the
+    member's manifest entry (None without a simulation)."""
     try:
         eqs = _coexistence_or_fail(kin)
         modes = unstable_modes(kin, mot, D, eqs.coexistence, rc.length)
@@ -658,36 +664,42 @@ def _sweep_row(rc: RunConfig, kin, mot, D: float, simulate: bool):
             regime = "steady_pattern"
         else:
             regime = "mixed"
-        pattern = ""
+        pattern, member = "", None
         if simulate:
             cfg = _solver_config(replace(rc, D_values=[D]), kin, mot, eqs)
-            # The label comes from the series alone; two snapshots (t = 0 and
-            # t_end) lie on the series grid and add no output times.
-            cfg = replace(cfg, snapshot_count=2)
+            # The label comes from the series' tail window alone, so the rows
+            # before it are not recorded; two snapshots (t = 0 and t_end) lie
+            # on the series grid and add no output times.
+            times = cfg.series_times()
+            start = float(times[-tail_rows(times.size)])
+            cfg = replace(cfg, snapshot_count=2, series_from=start)
             try:
                 traj = integrate(cfg)
                 pattern = classify_pattern(traj).label.value
             except (BlowUpError, NonPhysicalError) as exc:
-                pattern = exc.trajectory.status
+                traj = exc.trajectory
+                pattern = traj.status
             except InsufficientDataError:
                 pattern = "insufficient_data"
-        return (D, n_hopf, n_steady, regime, pattern, "")
+            member = {"D": D, "series_from": start, "run_stats": traj.stats}
+        return (D, n_hopf, n_steady, regime, pattern, ""), member
     except (MissingEquilibriumError, ValueError, RuntimeError) as exc:
-        return (D, "", "", "", "", str(exc).replace(",", ";"))
+        return (D, "", "", "", "", str(exc).replace(",", ";")), None
 
 
 def cmd_sweep(rc: RunConfig, simulate: bool = False) -> int:
     if len(rc.D_values) < 2:
         raise ConfigError("sweep needs at least two diffusivity values")
     kin, mot = build_models(rc)
-    results = [_sweep_row(rc, kin, mot, D, simulate) for D in rc.D_values]
+    results, members = zip(*(_sweep_row(rc, kin, mot, D, simulate) for D in rc.D_values))
     header = ("D", "n_unstable_hopf", "n_unstable_steady", "predicted_regime", "error")
+    run = _Run(rc, "sweep", kin, mot)
     if simulate:
         header = header[:4] + ("pattern_class",) + header[4:]
         rows = results
+        run.extra["members"] = [m for m in members if m is not None]
     else:
         rows = [(r[0], r[1], r[2], r[3], r[5]) for r in results]
-    run = _Run(rc, "sweep", kin, mot)
     run.csv("sweep.csv", header, _table(rows))
     failures = sum(1 for r in results if r[5])
     run.extra["failed_rows"] = failures

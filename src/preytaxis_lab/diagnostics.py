@@ -36,6 +36,7 @@ __all__ = [
     "zeta_by_quadrature",
     "lyapunov_v1",
     "lyapunov_v2",
+    "tail_rows",
     "classify_pattern",
     "decay_fit",
 ]
@@ -45,6 +46,7 @@ SPATIAL_STD_THRESHOLD = 1e-2
 OSCILLATION_THRESHOLD = 1e-2
 PERIODICITY_THRESHOLD = 0.95
 MIN_TAIL_POINTS = 50
+TAIL_FRACTION = 0.2  # classify_pattern's default tail window
 
 
 class InsufficientDataError(ValueError):
@@ -187,11 +189,18 @@ def _max_lag_correlation(x: np.ndarray) -> float:
     return best
 
 
-def classify_pattern(traj: "Trajectory", tail_fraction: float = 0.2) -> PatternClass:
-    """Classify the asymptotic regime from the trajectory's tail window."""
+def tail_rows(n: int, tail_fraction: float = TAIL_FRACTION) -> int:
+    """Rows in the tail window of an n-row series: the last
+    ceil(tail_fraction * n), which ``classify_pattern`` reads."""
+    return int(math.ceil(tail_fraction * n))
+
+
+def classify_pattern(traj: "Trajectory", tail_fraction: float = TAIL_FRACTION) -> PatternClass:
+    """Classify the asymptotic regime from the trajectory's tail window
+    (``tail_rows``); only the tail's mass_u and std_u are read."""
     s = traj.series
     n = s.t.size
-    m = int(math.ceil(tail_fraction * n))
+    m = tail_rows(n, tail_fraction)
     if m < MIN_TAIL_POINTS:
         raise InsufficientDataError(
             f"tail window has {m} points; need >= {MIN_TAIL_POINTS}"

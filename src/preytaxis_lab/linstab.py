@@ -50,6 +50,7 @@ __all__ = [
     "steady_band_threshold",
     "hopf_band",
     "unstable_modes",
+    "grid_decay_rate",
     "min_stabilizing_D",
 ]
 
@@ -369,6 +370,30 @@ def unstable_modes(
         for n, pt in enumerate(points)
         if pt.klass is not StabilityClass.STABLE
     ]
+
+
+def grid_decay_rate(sys: LinearizedSystem, ell: float, n_cells: int) -> float:
+    """-max Re lambda over the Neumann modes n = 0..N-1 of an N-cell grid
+    on [0, ell]: the decay rate of the slowest linear mode of the
+    semi-discrete system.
+
+    Mode n enters at its grid symbol kappa_n = (4/h^2) sin^2(n pi h/(2 ell)),
+    the discrete Neumann Laplacian's eigenvalue, in place of k^2.  All
+    modes take one vectorised pass with the roots of ``dispersion``.
+    """
+    h = ell / n_cells
+    kappa = 4.0 / h**2 * np.sin(np.arange(n_cells) * math.pi * h / (2.0 * ell)) ** 2
+    d, D, coef = sys.d_star, sys.D, sys.coefficients
+    a = coef.a(D, d, kappa)
+    b = coef.b(D, d, kappa)
+    delta = a * a - 4.0 * b
+    real = delta >= 0.0
+    s = np.sqrt(np.where(real, delta, 0.0))
+    # _quadratic_roots: q and b/q for real roots (both 0 where q is), or
+    # the real part -a/2 of a complex pair
+    q = -0.5 * np.where(a != 0.0, a + np.copysign(s, a), s)
+    other = np.divide(b, q, out=np.zeros_like(q), where=q != 0.0)
+    return -float(np.max(np.where(real, np.maximum(q, other), -a / 2.0)))
 
 
 @dataclass(frozen=True)

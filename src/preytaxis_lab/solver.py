@@ -196,6 +196,16 @@ PRNG_NAME = "numpy PCG64 (default_rng)"
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run's models, grid, start and output schedule.
+
+    The series is sampled at ``series_count`` times from 0 to t_end
+    (``series_times``); rows before ``series_from`` are not recorded.
+    ``integrate`` leaves them in the ``TimeSeries`` with their schedule
+    time and NaN in every other column, and steps across them in intervals
+    of up to the larger of the series spacing and the start state's CFL
+    step (see there).  The default 0.0 records every row.
+    """
+
     kin: KineticsModel
     mot: MotilityModel
     D: float
@@ -207,6 +217,7 @@ class SolverConfig:
     cfl_safety: float = 0.4
     snapshot_count: int = 200
     series_count: int = 500
+    series_from: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
@@ -221,6 +232,13 @@ class SolverConfig:
             raise ValueError("output counts must be integers")
         if self.snapshot_count < 2 or self.series_count < 2:
             raise ValueError("need at least two output points")
+        if not 0.0 <= self.series_from <= self.t_end:
+            raise ValueError("series_from must lie in [0, t_end]")
+
+    def series_times(self) -> np.ndarray:
+        """The series schedule: ``series_count`` equally spaced times from 0
+        to t_end."""
+        return np.linspace(0.0, self.t_end, self.series_count)
 
     def base_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         n = self.grid.n_cells
@@ -696,7 +714,9 @@ class TimeSeries:
     """Scalar diagnostics sampled on the dense output schedule.
 
     V1 and V2 are NaN where their preconditions fail (nonpositive fields,
-    gamma <= 0, or no coexistence base for V2).
+    gamma <= 0, or no coexistence base for V2).  A row before the config's
+    ``series_from`` is not recorded: it holds its schedule time in ``t``
+    and NaN in every other column.
     """
 
     t: np.ndarray
@@ -747,6 +767,10 @@ class _SeriesRecorder:
     V1 and V2 take one call each on the rows that meet their
     preconditions, as contiguous (rows, n) views of the block when every
     row does; they are looked up in this module at call time.
+
+    The recorder starts at ``first``, the first row at or after the
+    config's ``series_from``: the rows before it hold their schedule time
+    and NaN, and are never recorded.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -757,8 +781,12 @@ class _SeriesRecorder:
         self.block = np.empty((2, _SERIES_BLOCK, cfg.grid.n_cells))
         self.dev = np.empty_like(self.block)  # deviations scratch of a flush
         self.cols = np.empty((13, cfg.series_count))  # one row per TimeSeries field
-        self.count = 0  # rows recorded
-        self.flushed = 0  # rows whose diagnostics are in cols
+        times = cfg.series_times()
+        self.first = int(np.searchsorted(times, cfg.series_from))
+        self.cols[0, : self.first] = times[: self.first]
+        self.cols[1:, : self.first] = math.nan
+        self.count = self.first  # rows recorded, or passed before the first
+        self.flushed = self.first  # rows whose diagnostics are in cols
 
     def record(self, t: float, y: np.ndarray):
         """Store the (2, n) state ``y`` (rows u and v) at time t."""
@@ -811,9 +839,14 @@ class _SeriesRecorder:
                 except ValueError:
                     pass
 
-    def finalize(self) -> TimeSeries:
+    def finalize(self, t_fail: float = math.inf) -> TimeSeries:
+        """The rows so far.  A run that failed at ``t_fail`` before recording
+        the first row keeps the rows before that time."""
         self._flush()
-        return TimeSeries(*self.cols[:, : self.count])
+        rows = self.count
+        if rows == self.first:
+            rows = int(np.searchsorted(self.cols[0, :rows], t_fail))
+        return TimeSeries(*self.cols[:, :rows])
 
 
 def _run_stats(steps: int, dt_calls: int, dt_min: float, dt_max: float) -> dict:
@@ -848,7 +881,7 @@ def _guard_error(t, u, v, grid, snapshots, rec, stats) -> _GuardError:
             name = min(fields, key=lambda k: fields[k].min())
             error, guard = NonPhysicalError, "negativity"
             cell = int(np.argmin(fields[name]))
-    traj = Trajectory(grid, snapshots, rec.finalize(), error.status, stats)
+    traj = Trajectory(grid, snapshots, rec.finalize(t), error.status, stats)
     return error(t, traj, guard, name, cell, float(fields[name][cell]))
 
 
@@ -872,6 +905,17 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     pair from a wrapper, or IMEX's) is copied into it.  Snapshots and the
     series recorder copy the state out.
 
+    Rows before the config's ``series_from`` are not output times (see
+    ``SolverConfig``).  Before that window every k-th series time ends an
+    interval, with k = max(1, floor(dt_lo / spacing)): dt_lo is the lower
+    end of the workspace's prey bracket on the start state, a proven lower
+    bound on its CFL step, so no interval is longer than the larger of the
+    spacing and that step.  k rows take ceil(k*spacing/dt) <= k*ceil(spacing/dt)
+    steps, no more than one-row intervals at the same dt, and where k = 1
+    the schedule and every step are those of a full series.  Each interval
+    still takes its n_sub from its own start state.  Snapshot times stay
+    output times.
+
     The trajectory's ``stats`` hold ``steps`` (steps taken),
     ``stable_dt_calls`` and the smallest and largest step, ``dt_min`` and
     ``dt_max`` (None before the first step).  They are counted once per
@@ -884,13 +928,6 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     fails the guard), and the guard, cell and value that tripped.
     """
     state = init_state(cfg)
-    series_t = np.linspace(0.0, cfg.t_end, cfg.series_count)
-    snap_t = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)
-    events = np.union1d(series_t, snap_t)
-    in_series = np.isin(events, series_t).tolist()
-    in_snap = np.isin(events, snap_t).tolist()
-    events = events.tolist()
-
     rec = _SeriesRecorder(cfg)
     snapshots: list[State] = []
     ws = cfg._workspace
@@ -907,11 +944,28 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     dt_min, dt_max = math.inf, 0.0
     if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
         raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec, _run_stats(0, 0, dt_min, dt_max))
-    rec.record(0.0, y)
+    dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
+
+    series_t = cfg.series_times()
+    window = series_t[rec.first :]
+    ends = series_t  # the series times that end an interval
+    if rec.first:
+        # before the window every k-th row: k spacings fit in a lower bound
+        # on the start state's CFL step
+        dt_lo = dt_prey(float(smallest(v)), float(largest(v)))[0]
+        k = max(1, math.floor(dt_lo / (cfg.t_end / (cfg.series_count - 1))))
+        ends = np.concatenate((series_t[: rec.first : k], window))
+    snap_t = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)
+    events = np.union1d(ends, snap_t)
+    in_series = np.isin(events, window).tolist()
+    in_snap = np.isin(events, snap_t).tolist()
+    events = events.tolist()
+
+    if in_series[0]:
+        rec.record(0.0, y)
     snapshots.append(State(0.0, u.copy(), v.copy()))
 
     step = rk4_step if cfg.scheme == "rk4" else imex_step
-    dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
     t = 0.0
     for t_next, series_row, snap_row in zip(events[1:], in_series[1:], in_snap[1:]):
         delta = t_next - t

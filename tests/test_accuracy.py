@@ -1,15 +1,20 @@
 """Accuracy budget of the time step: RK4 at the default step against the
 same RK4 at an eighth of it.
 
-Each shipped config's model runs at 128 cells to t = 2 from its seeded
-random start, once at the default ``cfl_safety`` and once at 1/8 of it.
-At each of the nine snapshots (t = 0, 0.25, ..., 2) the error of a field is
-its largest difference over the cells, relative to the fine run's range of
-that field at that snapshot (max minus min over the cells).  The budgets
-are twice the worst error over the snapshots that this code measured
-(printed by the test, ``pytest -s``); README quotes them.  A change that
-moves bits by changing the step (a larger step, another scheme) is held to
-them.
+Each shipped config's model runs at 128 cells to t = 2, once at the
+default ``cfl_safety`` and once at 1/8 of it, from two starts: its seeded
+random start, and a smooth one, the base state with a cos(pi x/ell) mode
+of relative amplitude 0.01 (``_smooth_start``).  At each of the nine
+snapshots (t = 0, 0.25, ..., 2) the error of a field is its largest
+difference over the cells, relative to the fine run's range of that field
+at that snapshot (max minus min over the cells).  The budgets are twice
+the worst error over the snapshots that this code measured (printed by
+the test, ``pytest -s``); README quotes them.  A change that moves bits by
+changing the step (a larger step, another scheme) is held to them.
+
+From the smooth start a third run at half the default step checks RK4's
+order: error(dt)/error(dt/2), both against the eighth-step run, is
+(dt/dt')^4 wherever error(dt) is above round-off.
 """
 
 import dataclasses
@@ -20,18 +25,31 @@ import pytest
 
 from preytaxis_lab import cli
 from preytaxis_lab.model import compute_equilibria
-from preytaxis_lab.solver import Grid1D, integrate
+from preytaxis_lab.solver import Grid1D, Perturbation, integrate
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-# config: budget of (u, v); measured worst (u, v) in the comment
+# config: budget of (u, v) from the random start; measured worst (u, v)
+# in the comment
 BUDGETS = {
     "case1": (6.7e-6, 1.4e-6),  # 3.33e-6, 6.78e-7
     "case2": (1.1e-8, 5.0e-10),  # 5.11e-9, 2.46e-10
     "case3": (8.1e-4, 4.5e-4),  # 4.02e-4, 2.24e-4
     "decay": (8.4e-8, 2.5e-5),  # 4.18e-8, 1.25e-5
 }
+# the same from the smooth start; case 2's error is round-off there
+# (ROUND_OFF), and is held to that instead
+SMOOTH_BUDGETS = {
+    "case1": (1.8e-11, 1.1e-9),  # 8.56e-12, 5.49e-10
+    "case3": (5.9e-9, 3.4e-7),  # 2.95e-9, 1.67e-7
+    "decay": (2.5e-12, 2.2e-8),  # 1.22e-12, 1.07e-8
+}
 FINE = 8  # the reference run's step is the default step / FINE
+# An error below this fraction of the field's largest magnitude is
+# round-off: from the smooth start case 2 reads 1.3e-15 to 1.2e-14 and
+# shows no order; every other config reads 5.4e-14 or more.
+ROUND_OFF = 1e-13
+ORDER_TOL = 0.5  # measured orders lie in 3.79..4.21
 
 
 def _short_config(name):
@@ -46,25 +64,83 @@ def _short_config(name):
     )
 
 
+def _smooth_start(cfg):
+    """The config started from its base state with a cos(pi x/ell) mode
+    and no random perturbation: x_base*(1 + 0.01 cos) where the base is
+    positive, and 0.01*K*(1 + cos)/2 where it is zero, as ``init_state``
+    treats a zero base."""
+    mode = np.cos(np.pi * cfg.grid.centers() / cfg.grid.ell)
+    start = tuple(
+        base * (1.0 + 0.01 * mode) if base.max() > 0.0 else 0.01 * cfg.kin.K * 0.5 * (1.0 + mode)
+        for base in cfg.base_arrays()
+    )
+    return dataclasses.replace(cfg, base_state=start, perturbation=Perturbation(0.0, 0))
+
+
+def _errors(coarse, fine, scale):
+    """(snapshots, 2) max-over-cells differences of u and v, each divided
+    by ``scale`` of the fine run's field at that snapshot."""
+    out = []
+    for a, b in zip(coarse.snapshots, fine.snapshots, strict=True):
+        assert a.t == b.t
+        out.append([np.max(np.abs(x - ref)) / scale(ref) for x, ref in ((a.u, b.u), (a.v, b.v))])
+    return np.array(out)
+
+
+def _magnitude(ref):
+    return np.max(np.abs(ref))
+
+
 def _worst_errors(coarse, fine):
     """The largest over the snapshots of each field's max-over-cells
     difference, relative to the fine run's range of the field there."""
-    worst = np.zeros(2)
-    for a, b in zip(coarse.snapshots, fine.snapshots, strict=True):
-        assert a.t == b.t
-        for k, (x, ref) in enumerate(((a.u, b.u), (a.v, b.v))):
-            worst[k] = max(worst[k], np.max(np.abs(x - ref)) / (ref.max() - ref.min()))
-    return worst
+    return _errors(coarse, fine, lambda ref: ref.max() - ref.min()).max(axis=0)
+
+
+def _runs(cfg, *fractions):
+    return [integrate(dataclasses.replace(cfg, cfl_safety=cfg.cfl_safety / f)) for f in fractions]
+
+
+def _coarse_and_fine(cfg, label):
+    """The config at the default step and at 1/FINE of it, and the worst
+    error of each field (``_worst_errors``), printed with ``label``."""
+    coarse, fine = _runs(cfg, 1, FINE)
+    # ceil(interval / step) rounds the coarse run's count up more
+    assert fine.stats["steps"] > 6 * coarse.stats["steps"]
+    worst = _worst_errors(coarse, fine)
+    print(f"{label}: steps {coarse.stats['steps']} / {fine.stats['steps']}, "
+          f"worst relative error u {worst[0]:.3g}, v {worst[1]:.3g}")
+    return coarse, fine, worst
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_default_step_is_within_budget_of_an_eighth_of_it(name):
-    cfg = _short_config(name)
-    coarse = integrate(cfg)
-    fine = integrate(dataclasses.replace(cfg, cfl_safety=cfg.cfl_safety / FINE))
-    # ceil(interval / step) rounds the coarse run's count up more
-    assert fine.stats["steps"] > 6 * coarse.stats["steps"]
-    worst = _worst_errors(coarse, fine)
-    print(f"{name}: steps {coarse.stats['steps']} / {fine.stats['steps']}, "
-          f"worst relative error u {worst[0]:.3g}, v {worst[1]:.3g}")
+    _, _, worst = _coarse_and_fine(_short_config(name), name)
     assert worst[0] <= BUDGETS[name][0] and worst[1] <= BUDGETS[name][1], (worst, BUDGETS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_smooth_start_is_within_budget_of_an_eighth_of_it(name):
+    coarse, fine, worst = _coarse_and_fine(_smooth_start(_short_config(name)), f"{name} (smooth)")
+    if name not in SMOOTH_BUDGETS:
+        errors = _errors(coarse, fine, _magnitude)
+        assert np.all(errors <= ROUND_OFF), errors
+        return
+    budget = SMOOTH_BUDGETS[name]
+    assert worst[0] <= budget[0] and worst[1] <= budget[1], (worst, budget)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_smooth_start_converges_at_order_four(name):
+    cfg = _smooth_start(_short_config(name))
+    coarse, half, fine = _runs(cfg, 1, 2, FINE)
+    # every interval of a run takes one step size, so dt/dt' is its ratio
+    for run in (coarse, half):
+        assert run.stats["dt_min"] == run.stats["dt_max"]
+    ratio = coarse.stats["dt_max"] / half.stats["dt_max"]
+    e_dt, e_half = _errors(coarse, fine, _magnitude), _errors(half, fine, _magnitude)
+    above = e_dt > ROUND_OFF
+    assert above.any() == (name in SMOOTH_BUDGETS)
+    order = np.log(e_dt[above] / e_half[above]) / np.log(ratio)
+    print(f"{name}: dt ratio {ratio:.4g}, orders {np.round(order, 3)}")
+    assert np.all(np.abs(order - 4.0) <= ORDER_TOL), order

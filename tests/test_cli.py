@@ -13,7 +13,7 @@ from hypothesis import strategies as hyp
 from helpers import reference_csv_text, run_fresh_python
 from preytaxis_lab import _floatcsv, cli
 from preytaxis_lab.cli import main
-from preytaxis_lab.diagnostics import classify_pattern
+from preytaxis_lab.diagnostics import classify_pattern, tail_rows
 from preytaxis_lab.model import check_hypotheses, compute_equilibria
 from preytaxis_lab.solver import (
     BlowUpError,
@@ -358,6 +358,15 @@ class TestSimulateCommand:
         assert manifest["decay"]["verdict"] == "exponential"
         assert manifest["decay"]["target"] == "prey_only"
         assert manifest["pattern"]["spatially_inhomogeneous"] is False
+
+    def test_decay_ini_linear_rate_is_the_predicted_rate(self, tmp_path):
+        # the predator's flat mode is the slowest linear mode on the grid
+        with open(os.path.join(CONFIGS, "decay.ini"), encoding="utf-8") as fh:
+            body = set_key(fh.read(), "solver", "t_end", "30")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", write_config(tmp_path, body), "--out", out]) == 0
+        decay = read_manifest(out)["decay"]
+        assert decay["linear_rate"] == decay["predicted_rate"]
 
     def test_blowup_exits_5_with_partial_outputs(self, tmp_path):
         # negative half-saturation is rejected by validation, so force
@@ -815,6 +824,61 @@ class TestSweepMembers:
             assert cfg.series_count == 1000
             assert [s.t for s in traj.snapshots] == [0.0, cfg.t_end]
             assert traj.series.t.size == 1000
+
+    def test_members_record_only_the_tail_window(self, tmp_path, monkeypatch):
+        body = sweep_members_config("d1", 2 * math.pi, "0.01,0.1,1", 2)
+        cfg = write_config(tmp_path, body)
+        original, members = cli.integrate, []
+
+        def integrate(cfg):
+            traj = original(cfg)
+            members.append((cfg, traj))
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", cfg, "--out", out, "--simulate"]) == 0
+        entries = read_manifest(out)["members"]
+        assert len(members) == len(entries) == 3
+        for (cfg, traj), entry in zip(members, entries):
+            # the window starts at classify_pattern's first tail row
+            s = traj.series
+            first = s.t.size - tail_rows(s.t.size)
+            assert cfg.series_from == s.t[first] == entry["series_from"]
+            assert np.isnan(s.mass_u[:first]).all() and np.isnan(s.std_u[:first]).all()
+            assert not np.isnan(s.mass_u[first:]).any() and not np.isnan(s.std_u[first:]).any()
+            assert entry["D"] == cfg.D and entry["run_stats"] == traj.stats
+            assert entry["run_stats"]["steps"] >= 1
+
+    def test_a_member_that_trips_a_guard_has_an_entry(self, tmp_path, monkeypatch):
+        from preytaxis_lab import solver
+
+        step, calls = solver.rk4_step, []
+
+        def failing_third_step(cfg, u, v, dt):
+            calls.append(dt)
+            y = step(cfg, u, v, dt)
+            if len(calls) == 3:
+                y[0, 5] = math.nan
+            return y
+
+        monkeypatch.setattr(solver, "rk4_step", failing_third_step)
+        cfg = write_config(tmp_path, sweep_members_config("d1", 2 * math.pi, "0.01,0.1", 2))
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", cfg, "--out", out, "--simulate"]) == 0
+        _, rows = read_csv(os.path.join(out, "sweep.csv"))
+        assert rows[0][4] == "blowup"
+        failed, ok = read_manifest(out)["members"]
+        assert failed["run_stats"] == {
+            "steps": 3, "stable_dt_calls": 0, "dt_min": min(calls[:3]), "dt_max": max(calls[:3]),
+        }
+        assert ok["D"] == 0.1 and ok["run_stats"]["steps"] == len(calls) - 3
+
+    def test_no_members_without_simulate(self, tmp_path):
+        cfg = write_config(tmp_path, sweep_members_config("d1", 2 * math.pi, "0.01,0.1", 2))
+        out = str(tmp_path / "o")
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        assert "members" not in read_manifest(out)
 
 
 class TestConfigStrictness:

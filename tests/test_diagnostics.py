@@ -415,6 +415,7 @@ class TestCoexistenceDecay:
         rho = dispersion(linearize(kin, mot, 1.0, co), 0.0).rho
         assert (rho[0].imag != 0.0) is complex_pair
         r_lin = _linear_rate(kin, mot, 1.0, co, Grid1D(length, 128))
+        assert decay["linear_rate"] == pytest.approx(r_lin, rel=1e-12)
         assert decay["verdict"] == "exponential", decay
         assert abs(decay["rate"] - r_lin) <= 0.02 * r_lin, (decay["rate"], r_lin)
 

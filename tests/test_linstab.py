@@ -12,6 +12,7 @@ from preytaxis_lab.linstab import (
     beta_coefficients,
     bifurcation_curves,
     dispersion,
+    grid_decay_rate,
     hopf_band,
     linearize,
     min_stabilizing_D,
@@ -367,6 +368,50 @@ class TestUnstableModes:
                 if pt.klass is not StabilityClass.STABLE
             ]
             assert [(m.n, m.klass) for m in base] == wider
+
+
+def _grid_rates(sys, ell, n_cells):
+    """Re lambda of every grid mode, one ``dispersion`` call per mode at
+    k = sqrt(kappa_n), kappa_n = (4/h^2) sin^2(n pi h/(2 ell))."""
+    h = ell / n_cells
+    return [
+        max(r.real for r in dispersion(sys, 2.0 / h * math.sin(n * math.pi * h / (2.0 * ell))).rho)
+        for n in range(n_cells)
+    ]
+
+
+class TestGridDecayRate:
+    """grid_decay_rate is -max Re lambda over the grid's Neumann modes, in
+    one vectorised pass; the per-mode dispersion loop is the oracle."""
+
+    RM_PREY_ONLY = KineticsModel.rosenzweig_macarthur(1, 1, 1, 4, 1)
+    LV_NODE = KineticsModel.lotka_volterra(1, 0.9, 0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "kin, eq_kind, mot, D, ell, n_cells, slowest",
+        [
+            # case 2: the steady band's n = 31 grows faster than n = 0
+            (CP_KIN, "coexistence", D2, 1.0 / 4800.0, 4 * math.pi, 256, 31),
+            # case 1: Hopf modes n = 0..3, n = 0 fastest
+            (CP_KIN, "coexistence", D1, 0.1, 8 * math.pi, 128, 0),
+            # decay.ini: the predator's flat mode decays slowest
+            (RM_PREY_ONLY, "prey_only", D1, 0.1, 4 * math.pi, 128, 0),
+            # an LV node under d3: taxis makes n = 1 decay slower than n = 0
+            (LV_NODE, "coexistence", D3, 1.0, 4 * math.pi, 64, 1),
+        ],
+        ids=["case2", "case1", "decay", "lv_node"],
+    )
+    def test_matches_the_per_mode_loop(self, kin, eq_kind, mot, D, ell, n_cells, slowest):
+        sys = linearize(kin, mot, D, getattr(compute_equilibria(kin), eq_kind))
+        rates = _grid_rates(sys, ell, n_cells)
+        assert int(np.argmax(rates)) == slowest
+        assert grid_decay_rate(sys, ell, n_cells) == pytest.approx(-max(rates), rel=1e-12)
+
+    def test_prey_only_rate_is_theta_minus_gamma_F_K(self):
+        kin = self.RM_PREY_ONLY
+        sys = linearize(kin, D1, 0.1, compute_equilibria(kin).prey_only)
+        rate = grid_decay_rate(sys, 4 * math.pi, 128)
+        assert rate == pytest.approx(kin.theta - kin.gamma * float(kin.F(kin.K)), rel=1e-14)
 
 
 class TestMinStabilizingD:

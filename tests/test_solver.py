@@ -23,7 +23,7 @@ from helpers import (
     reference_stable_dt,
     same_bits,
 )
-from preytaxis_lab.diagnostics import lyapunov_v1, lyapunov_v2
+from preytaxis_lab.diagnostics import lyapunov_v1, lyapunov_v2, tail_rows
 from preytaxis_lab.model import (
     _EXP_CAP,
     Equilibrium,
@@ -411,6 +411,11 @@ class TestGridValidation:
     def test_config_rejects_non_finite_input(self, over):
         with pytest.raises(ValueError):
             cp_config(**over)
+
+    @pytest.mark.parametrize("series_from", [-0.1, 1.5, math.nan, math.inf])
+    def test_series_from_must_lie_in_the_run(self, series_from):
+        with pytest.raises(ValueError):
+            cp_config(t_end=1.0, series_from=series_from)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -1496,6 +1501,129 @@ class TestSeriesRecorder:
         assert np.array_equal(stacked, [reference_lyapunov_v1(a, b, kin, h) for a, b in zip(u, v)])
         stacked = lyapunov_v2(u, v, kin, co, h)
         assert np.array_equal(stacked, [reference_lyapunov_v2(a, b, kin, co, h) for a, b in zip(u, v)])
+
+
+def _intervals(monkeypatch):
+    """Rebind solver.rk4_step to collect each output interval as
+    [dt, steps]: integrate hands one dt object to every step of an
+    interval (the list keeps each alive, so identities do not repeat)."""
+    original, intervals = solver.rk4_step, []
+
+    def step(cfg, u, v, dt):
+        if intervals and intervals[-1][0] is dt:
+            intervals[-1][1] += 1
+        else:
+            intervals.append([dt, 1])
+        return original(cfg, u, v, dt)
+
+    monkeypatch.setattr(solver, "rk4_step", step)
+    return intervals
+
+
+def _member(D, **over):
+    """A ``sweep --simulate`` member of case 1's model at 128 cells to
+    t = 2, with only the final snapshot besides the start."""
+    return cp_config(D=D, grid=Grid1D(8 * math.pi, 128), t_end=2.0, snapshot_count=2, **over)
+
+
+def _tail_start(cfg):
+    """The time of the first row of classify_pattern's tail window."""
+    times = cfg.series_times()
+    return float(times[-tail_rows(times.size)])
+
+
+class TestSeriesWindow:
+    """Rows before ``series_from`` are not recorded; before that window
+    ``integrate`` ends an interval at every k-th series time, k spacings
+    within a lower bound on the start state's CFL step."""
+
+    # twice the worst over the eight members (seed 0): tail mass_u
+    # 1.25e-10 relative, tail std_u 4.86e-11 absolute
+    TAIL_MASS_RTOL = 2.5e-10
+    TAIL_STD_ATOL = 9.7e-11
+
+    # the D values of a sweep over log:0.02:2:8; the six below 0.6 have a
+    # start-state CFL step of more than three series spacings
+    @pytest.mark.parametrize("D", np.geomspace(0.02, 2.0, 8).tolist())
+    def test_pre_window_intervals_rows_and_tail(self, monkeypatch, D):
+        full = integrate(_member(D))
+        cfg = _member(D, series_from=_tail_start(_member(D)))
+        intervals = _intervals(monkeypatch)
+        traj = integrate(cfg)
+        times = cfg.series_times()
+        first = int(np.searchsorted(times, cfg.series_from))
+        assert times[first] == cfg.series_from and first == times.size - 100
+
+        # no interval before the window is longer than the larger of the
+        # spacing and the start state's CFL step
+        bound = max(times[1], stable_dt(init_state(cfg), cfg))
+        t = 0.0
+        for dt, n in intervals:
+            if t >= cfg.series_from:
+                break
+            assert n * dt <= bound * (1 + 1e-12)
+            t += n * dt
+        assert t == pytest.approx(cfg.series_from, rel=1e-12)
+        assert traj.stats["steps"] == sum(n for _, n in intervals) <= full.stats["steps"]
+        if D < 0.6:
+            assert traj.stats["steps"] < full.stats["steps"]
+
+        # rows before the window: their schedule time and NaN; the window's
+        # rows are recorded
+        s = traj.series
+        assert np.array_equal(s.t, times)
+        for name in SERIES_COLUMNS[1:]:
+            column = getattr(s, name)
+            assert np.isnan(column[:first]).all(), name
+            assert np.array_equal(np.isnan(column[first:]), np.isnan(getattr(full.series, name)[first:]))
+        assert [st.t for st in traj.snapshots] == [0.0, 2.0]
+
+        # the tail classify_pattern reads stays within budget of the full run
+        a, b = full.series, traj.series
+        assert np.all(np.abs(b.mass_u[first:] - a.mass_u[first:]) <= self.TAIL_MASS_RTOL * a.mass_u[first:])
+        assert np.all(np.abs(b.std_u[first:] - a.std_u[first:]) <= self.TAIL_STD_ATOL)
+
+    def test_k_of_one_keeps_every_step_and_row(self, monkeypatch):
+        # a spacing of 2/99 is longer than the start state's CFL step
+        cfg = _member(0.02, series_count=100)
+        assert stable_dt(init_state(cfg), cfg) < cfg.series_times()[1]
+        intervals = _intervals(monkeypatch)
+        full = integrate(cfg)
+        full_steps = [tuple(i) for i in intervals]
+        intervals.clear()
+        win = integrate(dataclasses.replace(cfg, series_from=_tail_start(cfg)))
+        assert [tuple(i) for i in intervals] == full_steps
+        assert win.stats == full.stats
+        for name in SERIES_COLUMNS:
+            assert same_bits(getattr(win.series, name)[-20:], getattr(full.series, name)[-20:]), name
+        assert same_bits(win.snapshots[-1].u, full.snapshots[-1].u)
+        assert same_bits(win.snapshots[-1].v, full.snapshots[-1].v)
+
+    def test_a_guard_trip_before_the_window_keeps_the_rows_before_it(self, monkeypatch):
+        cfg = cp_config(series_from=0.8, snapshot_count=2)
+        calls = _injecting(monkeypatch, 3, "u", 13, np.nan)
+        with pytest.raises(BlowUpError) as exc:
+            integrate(cfg)
+        err = exc.value
+        assert err.t == pytest.approx(sum(calls), rel=1e-12)
+        traj = err.trajectory
+        times = cfg.series_times()
+        assert traj.status == "blowup" and traj.stats["steps"] == 3
+        assert np.array_equal(traj.series.t, times[times < err.t])
+        assert traj.series.t.size > 0
+        for name in SERIES_COLUMNS[1:]:
+            assert np.isnan(getattr(traj.series, name)).all(), name
+        assert [st.t for st in traj.snapshots] == [0.0]
+
+    def test_a_failed_start_state_keeps_no_row(self):
+        v = np.full(64, CP_CO.v)
+        v[5] = -1.0
+        cfg = cp_config(
+            base_state=(np.full(64, CP_CO.u), v), perturbation=Perturbation(0.0, 0), series_from=0.5
+        )
+        with pytest.raises(NonPhysicalError) as exc:
+            integrate(cfg)
+        assert exc.value.trajectory.series.t.size == 0
 
 
 # (m, r) of the builtin motilities d(v) = 1/(m + exp(r(v - 1))), chi = -d'
