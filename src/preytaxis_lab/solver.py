@@ -35,12 +35,12 @@ writes into a workspace buffer, so a right-hand side with builtin
 kinetics allocates nothing.  A step evaluates k1 on its start state in
 the workspace's start block ``y0``, straight into the sum; its 0.5*dt,
 dt and dt/6 are set only when dt changes, once per output interval in
-``integrate``.  ``integrate`` keeps the run's state in ``y0`` itself: it
-copies the start state into ``y0``'s cells once and hands every step
-that block's own rows, so a step copies nothing in, writes the new state
-over ``y0`` and returns the workspace's view of its cells, which
-``integrate`` checks with one maximum and one minimum reduction, on the
-cells alone.  Given any other arrays, a step copies them into ``y0``
+``integrate`` (once per step before a config's ``series_from``).
+``integrate`` keeps the run's state in ``y0`` itself: it copies the
+start state into ``y0``'s cells once and hands every step that block's
+own rows, so a step copies nothing in, writes the new state over ``y0``
+and returns the workspace's view of its cells, which ``integrate``
+checks with one maximum and one minimum reduction, on the cells alone.  Given any other arrays, a step copies them into ``y0``
 first and returns the new state as the cells of a new block.  ``stable_dt``
 runs a kernel of the same workspace, in buffers of its own, and divides
 the largest advective term by h once (doubled first: its face buffers
@@ -87,11 +87,13 @@ formula with ``math.exp`` gives up to the 1-ulp gap between NumPy's exp
 and the C library's.  The upper end takes d(max v) lowered, and the lower
 end d(min v) raised, by a relative margin of 1e-12; the constant kind's d
 is exact.  Only where this bracket's ends differ too does ``integrate``
-call ``stable_dt``.  Three lookups stay at call time, so wrappers bound
-in this module by name see every call: ``integrate`` looks up
-``rk4_step`` and ``stable_dt``, and ``rk4_step`` looks up
-``_rhs_arrays``, which picks the start-state or the stage kernel by the
-identity of its arguments.  At 128 or 256 cells a step is bound by
+call ``stable_dt``.  Before a config's ``series_from`` no series row is
+recorded, and ``integrate`` sets every step there from the prey
+bracket's lower end on the state it starts from (see there).  Three
+lookups stay at call time, so wrappers bound in this module by name see
+every call: ``integrate`` looks up ``rk4_step`` and ``stable_dt``, and
+``rk4_step`` looks up ``_rhs_arrays``, which picks the start-state or
+the stage kernel by the identity of its arguments.  At 128 or 256 cells a step is bound by
 NumPy's per-call cost and the interpreter's work around it, not by
 arithmetic, so fewer and cheaper calls make it faster; every element
 still takes the operations of the plain expressions in their order, up
@@ -201,9 +203,9 @@ class SolverConfig:
     The series is sampled at ``series_count`` times from 0 to t_end
     (``series_times``); rows before ``series_from`` are not recorded.
     ``integrate`` leaves them in the ``TimeSeries`` with their schedule
-    time and NaN in every other column, and steps across them in intervals
-    of up to the larger of the series spacing and the start state's CFL
-    step (see there).  The default 0.0 records every row.
+    time and NaN in every other column, and sets each step before them
+    from the state it starts from (see there).  The default 0.0 records
+    every row.
     """
 
     kin: KineticsModel
@@ -849,11 +851,13 @@ class _SeriesRecorder:
         return TimeSeries(*self.cols[:, :rows])
 
 
-def _run_stats(steps: int, dt_calls: int, dt_min: float, dt_max: float) -> dict:
-    """``Trajectory.stats`` of a run; dt_min and dt_max are None before
-    the first step."""
+def _run_stats(steps: int, rhs_per_step: int, dt_calls: int, dt_min: float, dt_max: float) -> dict:
+    """``Trajectory.stats`` of a run whose steps each evaluate the
+    right-hand side ``rhs_per_step`` times; dt_min and dt_max are None
+    before the first step."""
     return {
         "steps": steps,
+        "rhs_evals": rhs_per_step * steps,
         "stable_dt_calls": dt_calls,
         "dt_min": dt_min if steps else None,
         "dt_max": dt_max if steps else None,
@@ -906,21 +910,22 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     series recorder copy the state out.
 
     Rows before the config's ``series_from`` are not output times (see
-    ``SolverConfig``).  Before that window every k-th series time ends an
-    interval, with k = max(1, floor(dt_lo / spacing)): dt_lo is the lower
-    end of the workspace's prey bracket on the start state, a proven lower
-    bound on its CFL step, so no interval is longer than the larger of the
-    spacing and that step.  k rows take ceil(k*spacing/dt) <= k*ceil(spacing/dt)
-    steps, no more than one-row intervals at the same dt, and where k = 1
-    the schedule and every step are those of a full series.  Each interval
-    still takes its n_sub from its own start state.  Snapshot times stay
-    output times.
+    ``SolverConfig``), and up to the window's first row the step follows
+    the state: each step is remaining/ceil(remaining/dt_lo), where
+    remaining is the time left to the next output time (a snapshot, or the
+    window's first row) and dt_lo is the lower end of the workspace's prey
+    bracket on the state the step starts from, a proven lower bound on
+    that state's CFL step.  The last step to an output time is the
+    remaining time itself, so steps land on it exactly.  From the window's
+    first row on, each output interval takes its n_sub as above; with
+    ``series_from`` = 0 every row is an output time and no step is set
+    this way.
 
     The trajectory's ``stats`` hold ``steps`` (steps taken),
-    ``stable_dt_calls`` and the smallest and largest step, ``dt_min`` and
-    ``dt_max`` (None before the first step).  They are counted once per
-    output interval, and a failed run's trajectory has them too, up to the
-    failing step.
+    ``rhs_evals`` (right-hand-side evaluations: 4 per RK4 step, 1 per IMEX
+    step), ``stable_dt_calls`` and the smallest and largest step,
+    ``dt_min`` and ``dt_max`` (None before the first step).  A failed
+    run's trajectory has them too, up to the failing step.
 
     Raises BlowUpError (fields beyond 1e6 or non-finite) or
     NonPhysicalError (densities below -1e-8); both carry the partial
@@ -942,21 +947,16 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     hi, lo = largest(y, None), smallest(y, None)
     steps = dt_calls = 0
     dt_min, dt_max = math.inf, 0.0
+    rhs_per_step = 4 if cfg.scheme == "rk4" else 1
     if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
-        raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec, _run_stats(0, 0, dt_min, dt_max))
+        stats = _run_stats(0, rhs_per_step, 0, dt_min, dt_max)
+        raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec, stats)
     dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
 
-    series_t = cfg.series_times()
-    window = series_t[rec.first :]
-    ends = series_t  # the series times that end an interval
-    if rec.first:
-        # before the window every k-th row: k spacings fit in a lower bound
-        # on the start state's CFL step
-        dt_lo = dt_prey(float(smallest(v)), float(largest(v)))[0]
-        k = max(1, math.floor(dt_lo / (cfg.t_end / (cfg.series_count - 1))))
-        ends = np.concatenate((series_t[: rec.first : k], window))
+    window = cfg.series_times()[rec.first :]
+    t_free = float(window[0])  # steps follow the state up to the window
     snap_t = np.linspace(0.0, cfg.t_end, cfg.snapshot_count)
-    events = np.union1d(ends, snap_t)
+    events = np.union1d(window, snap_t)
     in_series = np.isin(events, window).tolist()
     in_snap = np.isin(events, snap_t).tolist()
     events = events.tolist()
@@ -968,33 +968,54 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     step = rk4_step if cfg.scheme == "rk4" else imex_step
     t = 0.0
     for t_next, series_row, snap_row in zip(events[1:], in_series[1:], in_snap[1:]):
-        delta = t_next - t
-        # dt depends on stable_dt only through n_sub, and where a bracket
-        # fixes n_sub the kernel would give the same count
-        n_sub = max(1, math.ceil(delta / dt_upper))
-        if delta > n_sub * dt_lower(float(hi - lo)):
-            lower, upper = dt_prey(float(smallest(v)), float(largest(v)))
-            n_sub = max(1, math.ceil(delta / upper))
-            if delta > n_sub * lower:
-                dt_calls += 1
-                n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
-        dt = delta / n_sub
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        for i in range(n_sub):
-            new = step(cfg, u, v, dt)
-            # rk4_step advances y in place; imex_step, and a wrapper bound
-            # over rk4_step, may return a new array or a (u, v) pair
-            if new is not y:
-                y[...] = new
-            hi, lo = largest(y, None), smallest(y, None)
-            if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
-                stats = _run_stats(steps + i + 1, dt_calls, dt_min, dt_max)
-                raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec, stats)
-        steps += n_sub
+        if t_next <= t_free:
+            # before the window each step is set from the state it starts
+            # from: the remaining time over ceil(remaining / dt_lo), dt_lo
+            # the lower end of the prey bracket on that state
+            while True:
+                remaining = t_next - t
+                m = math.ceil(remaining / dt_prey(float(smallest(v)), float(largest(v)))[0])
+                dt = remaining / m
+                dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+                new = step(cfg, u, v, dt)
+                if new is not y:
+                    y[...] = new
+                steps += 1
+                hi, lo = largest(y, None), smallest(y, None)
+                if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
+                    stats = _run_stats(steps, rhs_per_step, dt_calls, dt_min, dt_max)
+                    raise _guard_error(t + dt, u, v, cfg.grid, snapshots, rec, stats)
+                if m == 1:
+                    break
+                t += dt
+        else:
+            delta = t_next - t
+            # dt depends on stable_dt only through n_sub, and where a bracket
+            # fixes n_sub the kernel would give the same count
+            n_sub = max(1, math.ceil(delta / dt_upper))
+            if delta > n_sub * dt_lower(float(hi - lo)):
+                lower, upper = dt_prey(float(smallest(v)), float(largest(v)))
+                n_sub = max(1, math.ceil(delta / upper))
+                if delta > n_sub * lower:
+                    dt_calls += 1
+                    n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
+            dt = delta / n_sub
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            for i in range(n_sub):
+                new = step(cfg, u, v, dt)
+                # rk4_step advances y in place; imex_step, and a wrapper bound
+                # over rk4_step, may return a new array or a (u, v) pair
+                if new is not y:
+                    y[...] = new
+                hi, lo = largest(y, None), smallest(y, None)
+                if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
+                    stats = _run_stats(steps + i + 1, rhs_per_step, dt_calls, dt_min, dt_max)
+                    raise _guard_error(t + (i + 1) * dt, u, v, cfg.grid, snapshots, rec, stats)
+            steps += n_sub
         t = t_next
         if series_row:
             rec.record(t, y)
         if snap_row:
             snapshots.append(State(t, u.copy(), v.copy()))
-    stats = _run_stats(steps, dt_calls, dt_min, dt_max)
+    stats = _run_stats(steps, rhs_per_step, dt_calls, dt_min, dt_max)
     return Trajectory(cfg.grid, snapshots, rec.finalize(), stats=stats)

@@ -15,6 +15,11 @@ changing the step (a larger step, another scheme) is held to them.
 From the smooth start a third run at half the default step checks RK4's
 order: error(dt)/error(dt/2), both against the eighth-step run, is
 (dt/dt')^4 wherever error(dt) is above round-off.
+
+Over a long horizon (marked slow), ``decay.ini`` to t = 120 and fig3
+(``case3.ini``'s model to t = 1000, the acceptance suite's run) give the
+results README quotes at the default step and at half of it: the decay
+verdict and rate, and the pattern label and tail std.
 """
 
 import dataclasses
@@ -24,6 +29,7 @@ import numpy as np
 import pytest
 
 from preytaxis_lab import cli
+from preytaxis_lab.diagnostics import classify_pattern, decay_fit
 from preytaxis_lab.model import compute_equilibria
 from preytaxis_lab.solver import Grid1D, Perturbation, integrate
 
@@ -52,15 +58,20 @@ ROUND_OFF = 1e-13
 ORDER_TOL = 0.5  # measured orders lie in 3.79..4.21
 
 
+def _config(name):
+    """The shipped config's ``SolverConfig``, as ``simulate`` builds it."""
+    rc = cli.load_config(os.path.join(CONFIGS, f"{name}.ini"))
+    kin, mot = cli.build_models(rc)
+    return cli._solver_config(rc, kin, mot, compute_equilibria(kin))
+
+
 def _short_config(name):
     """The config's models, D and length at 128 cells to t = 2, with nine
     snapshots and nine series rows, so the step is the CFL step and not an
     output interval's."""
-    rc = cli.load_config(os.path.join(CONFIGS, f"{name}.ini"))
-    kin, mot = cli.build_models(rc)
-    cfg = cli._solver_config(rc, kin, mot, compute_equilibria(kin))
+    cfg = _config(name)
     return dataclasses.replace(
-        cfg, grid=Grid1D(rc.length, 128), t_end=2.0, snapshot_count=9, series_count=9
+        cfg, grid=Grid1D(cfg.grid.ell, 128), t_end=2.0, snapshot_count=9, series_count=9
     )
 
 
@@ -144,3 +155,27 @@ def test_smooth_start_converges_at_order_four(name):
     order = np.log(e_dt[above] / e_half[above]) / np.log(ratio)
     print(f"{name}: dt ratio {ratio:.4g}, orders {np.round(order, 3)}")
     assert np.all(np.abs(order - 4.0) <= ORDER_TOL), order
+
+
+# README's digits: the decay fit on decay.ini (t = 120), and fig3's label
+# and tail std of u; each run below rounds to them
+DECAY_RATE = "0.2004"
+FIG3_LABEL, FIG3_TAIL_STD = "spatio_temporal", "0.0515"
+
+
+@pytest.mark.slow
+def test_long_horizon_results_hold_at_half_the_step():
+    decay = _config("decay")
+    # fig3 as the acceptance suite runs it: t = 1000 with 1000 series rows
+    fig3 = dataclasses.replace(_config("case3"), t_end=1000.0, series_count=1000)
+    for fraction in (1, 2):
+        (run,) = _runs(decay, fraction)
+        fit = decay_fit(run.series, decay.base_state)
+        print(f"decay at dt/{fraction}: {run.stats['steps']} steps, {fit.verdict.value}, "
+              f"rate {fit.rate:.6f}")
+        assert fit.verdict.value == "exponential" and f"{fit.rate:.4f}" == DECAY_RATE
+        (run,) = _runs(fig3, fraction)
+        pc = classify_pattern(run)
+        print(f"fig3 at dt/{fraction}: {run.stats['steps']} steps, {pc.label.value}, "
+              f"tail std {pc.tail_spatial_std:.6f}")
+        assert pc.label.value == FIG3_LABEL and f"{pc.tail_spatial_std:.3g}" == FIG3_TAIL_STD

@@ -870,7 +870,8 @@ class TestSweepMembers:
         assert rows[0][4] == "blowup"
         failed, ok = read_manifest(out)["members"]
         assert failed["run_stats"] == {
-            "steps": 3, "stable_dt_calls": 0, "dt_min": min(calls[:3]), "dt_max": max(calls[:3]),
+            "steps": 3, "rhs_evals": 12, "stable_dt_calls": 0,
+            "dt_min": min(calls[:3]), "dt_max": max(calls[:3]),
         }
         assert ok["D"] == 0.1 and ok["run_stats"]["steps"] == len(calls) - 3
 
@@ -1136,7 +1137,8 @@ class TestSimulateReports:
         manifest = read_manifest(out)
         assert manifest["status"] == "blowup"
         assert manifest["run_stats"] == {
-            "steps": 3, "stable_dt_calls": len(dt_calls), "dt_min": min(calls), "dt_max": max(calls),
+            "steps": 3, "rhs_evals": 12, "stable_dt_calls": len(dt_calls),
+            "dt_min": min(calls), "dt_max": max(calls),
         }
 
     def test_run_stats_of_a_failed_start_state(self, tmp_path):
@@ -1146,7 +1148,7 @@ class TestSimulateReports:
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", write_config(tmp_path, body), "--out", out]) == 5
         assert read_manifest(out)["run_stats"] == {
-            "steps": 0, "stable_dt_calls": 0, "dt_min": None, "dt_max": None,
+            "steps": 0, "rhs_evals": 0, "stable_dt_calls": 0, "dt_min": None, "dt_max": None,
         }
 
 
