@@ -31,7 +31,7 @@ product of |x| and an exact power of ten, truncated and rounded to an
 integer, which is proven equal to ``'%.17g' % x`` where the product's
 fraction is not exactly 0.5; every other value, and every value where
 long double has no 64-bit significand, takes ``'%.17g' % x`` itself.
-Tables with str or int fields are written row by row from %-templates
+Tables with str or int fields are written row by row, field by field
 (``_table``).
 """
 
@@ -41,13 +41,11 @@ import argparse
 import configparser
 import json
 import math
-import operator
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from itertools import compress
 
 import numpy as np
 
@@ -306,38 +304,20 @@ def build_models(rc: RunConfig) -> tuple[KineticsModel, MotilityModel]:
 # Output helpers
 
 
-def _template(kinds: tuple[type, ...], nans: tuple[bool, ...]) -> str:
-    """%-template of a CSV line whose fields have the given types: str as
-    is, int in decimal, float with 17 significant digits.  Fields flagged
-    in ``nans`` are written empty and take no value."""
-    return ",".join(
-        "" if nan
-        else "%s" if issubclass(k, str)
-        else "%d" if issubclass(k, (int, np.integer))
-        else "%.17g"
-        for k, nan in zip(kinds, nans)
-    ) + "\n"
+def _field(x) -> str:
+    """One CSV field: str as is, int in decimal, float with 17 significant
+    digits, NaN (the only value unequal to itself) empty."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return "%d" % x
+    return "" if x != x else "%.17g" % x
 
 
 def _table(rows):
-    """(line, 1) blocks of tuple rows for ``_write_csv``; NaN is written as
-    an empty field.
-
-    Each line is one %-template over the row (pass Python floats, e.g.
-    from ``.tolist()``, for speed).  The template is picked by the row's
-    field types and NaN fields (the only values unequal to themselves),
-    which it writes empty, so every row is formatted once.
-    """
-    templates: dict[tuple, tuple[str, tuple[bool, ...] | None]] = {}
+    """(line, 1) blocks of tuple rows for ``_write_csv``."""
     for row in rows:
-        nans = tuple(map(operator.ne, row, row))
-        key = (tuple(map(type, row)), nans)
-        entry = templates.get(key)
-        if entry is None:
-            keep = tuple(not nan for nan in nans) if True in nans else None
-            entry = templates[key] = (_template(key[0], nans), keep)
-        template, keep = entry
-        yield template % (row if keep is None else tuple(compress(row, keep))), 1
+        yield ",".join(map(_field, row)) + "\n", 1
 
 
 def _write_csv(path: str, header: tuple[str, ...], blocks) -> int:

@@ -345,21 +345,19 @@ class MotilityModel:
         return _LOGISTIC_OPERANDS.get(self.kind)
 
     @cached_property
-    def sup_d_chi(self) -> tuple[float, float]:
-        """(sup d, sup |chi|) over every v, as floats.
+    def sup_chi(self) -> float:
+        """sup |chi| over every v, as a float.
 
-        The builtin kinds have d = 1/(m + w) and chi = r*w/(m + w)^2 with
-        w = exp(.) >= 0, so d <= 1/m and chi <= r/(4m), its value at w = m.
-        The computed d is <= 1/m to the bit (m + w >= m, and division is
-        correctly rounded and monotone); the computed chi can exceed r/(4m)
-        by a few roundings, which a caller that needs a strict bound covers
-        with a margin.  The constant kind has d_const and |chi_const|.
+        The builtin kinds have chi = r*w/(m + w)^2 with w = exp(.) >= 0, so
+        chi <= r/(4m), its value at w = m.  The computed chi can exceed
+        r/(4m) by a few roundings, which a caller that needs a strict bound
+        covers with a margin.  The constant kind has |chi_const|.
         """
         params = self._logistic_operands
         if params is None:
-            return float(self.d_const), abs(float(self.chi_const))
+            return abs(float(self.chi_const))
         m, r = map(float, params)
-        return 1.0 / m, r / (4.0 * m)
+        return r / (4.0 * m)
 
     def _scalar_d(self):
         """Bind d(v) of one Python float v, in the operations of the

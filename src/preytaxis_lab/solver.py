@@ -74,30 +74,25 @@ from the unfolded expressions.
 ``integrate`` runs the ``stable_dt`` kernel only where it can change the
 result.  An output interval takes n_sub = max(1, ceil(interval / dt_cfl))
 equal steps, so dt_cfl enters the result through that integer alone.  The
-workspace brackets dt_cfl from run constants and one number of the
-state: above by safety*h^2/(2D), below by the motility model's sup d and
-sup |chi| with the max minus the min of the state over both fields,
-which the step guard has already computed.  Where both ends give the same
-n_sub the kernel would give it too, so ``integrate`` takes it without
-the kernel and every bit of the result is the same.  Where they differ,
-``integrate`` takes the prey row's min and max (two reductions) and
-brackets dt_cfl again with d at those ends: d1-d3 decrease in v, so the
-kernel's largest d lies between d(max v) and d(min v), which a scalar
-formula with ``math.exp`` gives up to the 1-ulp gap between NumPy's exp
-and the C library's.  The upper end takes d(max v) lowered, and the lower
-end d(min v) raised, by a relative margin of 1e-12; the constant kind's d
-is exact.  Only where this bracket's ends differ too does ``integrate``
-call ``stable_dt``.  Before a config's ``series_from`` no series row is
-recorded, and ``integrate`` sets every step there from the prey
-bracket's lower end on the state it starts from (see there).  Three
-lookups stay at call time, so wrappers bound in this module by name see
-every call: ``integrate`` looks up ``rk4_step`` and ``stable_dt``, and
-``rk4_step`` looks up ``_rhs_arrays``, which picks the start-state or
-the stage kernel by the identity of its arguments.  At 128 or 256 cells a step is bound by
-NumPy's per-call cost and the interpreter's work around it, not by
-arithmetic, so fewer and cheaper calls make it faster; every element
-still takes the operations of the plain expressions in their order, up
-to the folds above, so results are the same to the last bit.
+workspace brackets dt_cfl from the prey row's min and max (two
+reductions): d1-d3 decrease in v, so the kernel's largest d is d at the
+row's min, which a scalar formula with ``math.exp`` gives up to the 1-ulp
+gap between NumPy's exp and the C library's, and the row's max minus its
+min bounds every prey face difference.  Where the bracket's two ends give
+the same n_sub the kernel would give it too, so ``integrate`` takes it
+without the kernel and every bit of the result is the same; only where
+they differ does it call ``stable_dt``.  Before a config's
+``series_from`` no series row is recorded, and ``integrate`` sets every
+step there from the bracket's lower end on the state it starts from (see
+there).  Three lookups stay at call time, so wrappers bound in this module
+by name see every call: ``integrate`` looks up ``rk4_step`` and
+``stable_dt``, and ``rk4_step`` looks up ``_rhs_arrays``, which picks the
+start-state or the stage kernel by the identity of its arguments.  At 128
+or 256 cells a step is bound by NumPy's per-call cost and the
+interpreter's work around it, not by arithmetic, so fewer and cheaper
+calls make it faster; every element still takes the operations of the
+plain expressions in their order, up to the folds above, so results are
+the same to the last bit.
 ``rhs`` returns new arrays, and so does ``rk4_step`` except on the
 workspace's own rows ``u0`` and ``v0``, where it returns the view of
 ``y0``'s cells that the next such step overwrites.  A workspace is
@@ -384,9 +379,8 @@ class _Workspace:
     Two right-hand-side kernels are bound: ``start`` reads ``y0`` and
     writes k1 straight into ``acc``, and ``stage`` reads ``y`` and writes
     ``dy``; each returns the (2, n) cells of what it wrote, ``k1`` or
-    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own;
-    ``dt_lower`` and ``dt_upper`` bracket its result, and ``dt_prey``
-    brackets it again from the prey row's range (see
+    ``k``.  ``stable_dt`` is a kernel of its own, in buffers of its own,
+    and ``dt_bracket`` brackets its result from the prey row's range (see
     ``_bind_dt_bracket``).  Each kernel is a closure over every buffer,
     view, 0-d operand, ufunc and model kernel it uses, so a call makes no
     attribute lookup and no dispatch on the model kinds.
@@ -456,7 +450,7 @@ class _Workspace:
         self.start = bind_rhs(self.y0, self.acc, self.k1)
         self.stage = bind_rhs(self.y, self.dy, self.k)
         self.stable_dt = _bind_stable_dt(cfg)
-        self.dt_lower, self.dt_upper, self.dt_prey = _bind_dt_bracket(cfg)
+        self.dt_bracket = _bind_dt_bracket(cfg)
 
 
 def _bind_stable_dt(cfg: SolverConfig):
@@ -500,68 +494,59 @@ def _bind_stable_dt(cfg: SolverConfig):
     return stable_dt
 
 
-# Relative margin of the brackets' ends on ``stable_dt``: it covers the
+# Relative margin of the bracket's ends on ``stable_dt``: it covers the
 # few roundings (each <= 1.1e-16 relative) by which the computed chi and
-# the brackets' own arithmetic can stray from the exact bounds, and the gap
-# between NumPy's exp and the C library's in the prey bracket's d (1 ulp
-# where measured; the margin is about 4500).
+# the bracket's own arithmetic can stray from the exact bounds, and the gap
+# between NumPy's exp and the C library's in the bracket's d (1 ulp where
+# measured; the margin is about 4500).
 _BRACKET_MARGIN = 1e-12
 
 
 def _bind_dt_bracket(cfg: SolverConfig):
-    """The workspace's brackets on the ``stable_dt`` kernel's result:
-    ``(lower, upper, prey)``, where ``lower(spread)`` takes the max minus
-    the min of a state over both fields, ``upper`` is a run constant, and
-    ``prey(v_min, v_max)`` gives a tighter ``(lower, upper)`` from the
-    prey row's min and max.
+    """The workspace's bracket on the ``stable_dt`` kernel's result:
+    ``dt_bracket(v_min, v_max)`` gives ``(lower, upper)`` from the prey
+    row's min and max.
 
-    ``upper`` is safety*h^2/(2D) in the kernel's order of operations:
-    max(d, D) >= D, and every later operation is correctly rounded and
-    monotone, so it is >= the kernel's result to the bit.  ``lower`` is
-    safety*min(h^2/(2 max(sup d, D)), h/(sup|chi|*spread/h)) with the
-    motility model's ``sup_d_chi``: every |v[i+1] - v[i]| is at most the
-    spread, so this is <= the kernel's result; sup|chi| is raised and the
-    result lowered by ``_BRACKET_MARGIN``, which covers the roundings of
-    the computed chi and of both expressions.
-
-    ``prey`` bounds the kernel's largest d by d at the prey row's ends.
     d1-d3 decrease in v, and so does the kernel's d up to its exp: v - 1,
     the product with r > 0, the cap and the operations after exp are
-    correctly rounded and monotone.  So every cell's d lies between d at
-    v_max and d at v_min, which ``MotilityModel._scalar_d`` gives up to
-    the gap between NumPy's exp and ``math.exp``; for the constant kind
-    they are d_const exactly.  ``prey``'s upper end takes d(v_max)
-    lowered by the margin in place of D's floor alone, and its lower end
-    d(v_min) raised by the margin in place of sup d, with v_max - v_min
-    as the spread, which bounds every prey face difference.
+    correctly rounded and monotone.  So no cell's d is above d at v_min
+    by more than exp's error, and the kernel's largest d is at least the
+    d of the cell that holds v_min.  ``MotilityModel._scalar_d`` gives d
+    at v_min up to the gap between NumPy's exp and ``math.exp``; for the
+    constant kind it is d_const exactly.
 
-    For an interval of length delta and n = max(1, ceil(delta/u)), with u
-    either upper end, delta <= n*l (l the matching lower end) means the
-    kernel's count max(1, ceil(delta/dt_cfl)) is n as well: the lower end's
-    margin keeps delta/dt_cfl below n through the rounding of n*l.
+    The upper end is safety*h^2/(2 max(d(v_min), D)) in the kernel's order
+    of operations, with d(v_min) lowered by ``_BRACKET_MARGIN``: the max
+    is then at most the kernel's, every later operation is correctly
+    rounded and monotone, and the kernel's advective bound only lowers its
+    result, so the end is >= that result to the bit.  The lower end is
+    safety*min(h^2/(2 max(d(v_min), D)), h/(sup|chi|*(v_max - v_min)/h))
+    with d(v_min) and the motility model's ``sup_chi`` raised and the
+    result lowered by the margin: v_max - v_min bounds every prey face
+    difference, so it is <= the kernel's result.
+
+    For an interval of length delta and n = max(1, ceil(delta/upper)),
+    delta <= n*lower means the kernel's count max(1, ceil(delta/dt_cfl)) is
+    n as well: the lower end's margin keeps delta/dt_cfl below n through
+    the rounding of n*lower.
     """
     h, D, safety = cfg.grid.h, cfg.D, cfg.cfl_safety
-    d_sup, chi_sup = cfg.mot.sup_d_chi
     d_at = cfg.mot._scalar_d()
-    upper = safety * (h * h / (2.0 * D))
-    dt_diff = h * h / (2.0 * max(d_sup, D))
-    rate = chi_sup * (1.0 + _BRACKET_MARGIN) / h
+    rate = cfg.mot.sup_chi * (1.0 + _BRACKET_MARGIN) / h
     shrink = safety * (1.0 - _BRACKET_MARGIN)
     d_low, d_high = 1.0 - _BRACKET_MARGIN, 1.0 + _BRACKET_MARGIN
 
-    def lower(spread):
-        return shrink * min(dt_diff, h / (rate * spread + 1e-300))
-
-    def prey(v_min, v_max):
+    def dt_bracket(v_min, v_max):
+        d_max = d_at(v_min)
         return (
             shrink * min(
-                h * h / (2.0 * max(d_at(v_min) * d_high, D)),
+                h * h / (2.0 * max(d_max * d_high, D)),
                 h / (rate * (v_max - v_min) + 1e-300),
             ),
-            safety * (h * h / (2.0 * max(d_at(v_max) * d_low, D))),
+            safety * (h * h / (2.0 * max(d_max * d_low, D))),
         )
 
-    return lower, upper, prey
+    return dt_bracket
 
 
 def _rhs_arrays(cfg: SolverConfig, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -895,12 +880,10 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     Each output interval is split into n_sub = max(1, ceil(interval /
     dt_cfl)) equal steps, with dt_cfl the CFL step of the interval's start
     state, so steps land exactly on output times.  The workspace's bracket
-    on dt_cfl (run constants and the max minus min of the state, which the
-    step guard computes) gives n_sub without the ``stable_dt`` kernel when
-    its two ends agree: it is the kernel's count then, so the result keeps
-    every bit.  Where they differ, the tighter bracket from the prey row's
-    min and max (two reductions) is tried, and ``stable_dt`` runs only on
-    intervals where its ends differ too.
+    on dt_cfl, from the prey row's min and max (two reductions), gives
+    n_sub without the ``stable_dt`` kernel when its two ends agree: it is
+    the kernel's count then, so the result keeps every bit.  ``stable_dt``
+    runs only on intervals where the ends differ.
 
     The run's state lives in the workspace's start block ``y0``: the start
     state is copied into its cells once, and every step is given its rows
@@ -913,7 +896,7 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     ``SolverConfig``), and up to the window's first row the step follows
     the state: each step is remaining/ceil(remaining/dt_lo), where
     remaining is the time left to the next output time (a snapshot, or the
-    window's first row) and dt_lo is the lower end of the workspace's prey
+    window's first row) and dt_lo is the lower end of the workspace's
     bracket on the state the step starts from, a proven lower bound on
     that state's CFL step.  The last step to an output time is the
     remaining time itself, so steps land on it exactly.  From the window's
@@ -951,7 +934,7 @@ def integrate(cfg: SolverConfig) -> Trajectory:
     if not (hi <= BLOWUP_LIMIT and lo >= NEGATIVITY_LIMIT):
         stats = _run_stats(0, rhs_per_step, 0, dt_min, dt_max)
         raise _guard_error(0.0, u, v, cfg.grid, snapshots, rec, stats)
-    dt_lower, dt_upper, dt_prey = ws.dt_lower, ws.dt_upper, ws.dt_prey
+    dt_bracket = ws.dt_bracket
 
     window = cfg.series_times()[rec.first :]
     t_free = float(window[0])  # steps follow the state up to the window
@@ -971,10 +954,10 @@ def integrate(cfg: SolverConfig) -> Trajectory:
         if t_next <= t_free:
             # before the window each step is set from the state it starts
             # from: the remaining time over ceil(remaining / dt_lo), dt_lo
-            # the lower end of the prey bracket on that state
+            # the bracket's lower end on that state
             while True:
                 remaining = t_next - t
-                m = math.ceil(remaining / dt_prey(float(smallest(v)), float(largest(v)))[0])
+                m = math.ceil(remaining / dt_bracket(float(smallest(v)), float(largest(v)))[0])
                 dt = remaining / m
                 dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
                 new = step(cfg, u, v, dt)
@@ -990,15 +973,13 @@ def integrate(cfg: SolverConfig) -> Trajectory:
                 t += dt
         else:
             delta = t_next - t
-            # dt depends on stable_dt only through n_sub, and where a bracket
-            # fixes n_sub the kernel would give the same count
-            n_sub = max(1, math.ceil(delta / dt_upper))
-            if delta > n_sub * dt_lower(float(hi - lo)):
-                lower, upper = dt_prey(float(smallest(v)), float(largest(v)))
-                n_sub = max(1, math.ceil(delta / upper))
-                if delta > n_sub * lower:
-                    dt_calls += 1
-                    n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
+            # dt depends on stable_dt only through n_sub, and where the
+            # bracket fixes n_sub the kernel would give the same count
+            lower, upper = dt_bracket(float(smallest(v)), float(largest(v)))
+            n_sub = max(1, math.ceil(delta / upper))
+            if delta > n_sub * lower:
+                dt_calls += 1
+                n_sub = max(1, math.ceil(delta / stable_dt(State(t, u, v), cfg)))
             dt = delta / n_sub
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
             for i in range(n_sub):

@@ -1050,16 +1050,24 @@ class TestFoldedKernels:
         assert 10 < dt_calls <= 14
 
 
+def _open_bracket_config():
+    """An advection-bound constant-chi run whose step-count bracket is open
+    on every output interval: d and D are far below chi times the prey's
+    face differences, so the bracket's upper end (diffusive) lies far above
+    the kernel's step, and its lower end (from the prey row's whole range)
+    below it."""
+    return cp_config(
+        mot=MotilityModel.constant(0.01, 20.0), D=0.01, t_end=0.5, series_count=6,
+        snapshot_count=3, perturbation=Perturbation(0.05, 1),
+    )
+
+
 class TestRunStats:
     """integrate reports on its trajectory the steps it took, its
     stable_dt calls and its step range, counted once per output interval."""
 
     def test_stats_count_what_the_run_did(self, monkeypatch):
-        # both step brackets (run constants, then the prey row's range) are
-        # open on every interval of this run
-        cfg = cp_config(
-            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.5, 1)
-        )
+        cfg = _open_bracket_config()
         kernel, dt_calls, steps = solver.stable_dt, [], []
         step = solver.rk4_step
 
@@ -1136,9 +1144,7 @@ class TestLookupAtCallTime:
     where the program returns stacked arrays."""
 
     def test_pair_returning_wrappers_leave_integrate_bit_identical(self, monkeypatch):
-        cfg = cp_config(
-            t_end=0.5, series_count=6, snapshot_count=3, perturbation=Perturbation(0.5, 1)
-        )
+        cfg = _open_bracket_config()
         expected = integrate(dataclasses.replace(cfg))
         rhs_arrays, step, step_size = solver._rhs_arrays, solver.rk4_step, solver.stable_dt
         calls = {"rhs": 0, "step": 0, "dt": []}
@@ -1165,9 +1171,9 @@ class TestLookupAtCallTime:
         for got, ref in zip(traj.snapshots, expected.snapshots, strict=True):
             assert got.t == ref.t and np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
         _assert_series_equal(traj.series, vars(expected.series))
-        # one stable_dt per output interval (on this run both step brackets
-        # are open on every interval), ceil(interval / dt) steps in it and
-        # four right-hand sides per step
+        # one stable_dt per output interval (on this run the step-count
+        # bracket is open on every interval), ceil(interval / dt) steps in
+        # it and four right-hand sides per step
         events = np.union1d(
             np.linspace(0.0, cfg.t_end, cfg.series_count),
             np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
@@ -1182,21 +1188,20 @@ class TestLookupAtCallTime:
 
 def _bracket_state(rng, shape, mot, n):
     """(u, v) of a flat, an even, a steep, a large or a capped state for the
-    bracket tests.
+    bracket test.
 
     The steep state is two-valued in v, around the v where chi peaks (for
-    d1-d3; anywhere for the constant kind), with u inside v's range, so
-    max - min over both fields is exactly the largest face difference and
-    the bracket's advective end is tight.  Its jumps reach 2000, below
-    v = 0 too: for d1-d3 the advective bound binds only on such jumps, and
-    the bracket holds on any finite state.  The even state has one v in
-    every cell, so the prey bracket's two ends read d at the kernel's own
-    v.  Where one of 4096 candidates has it, that v is one whose d the
-    kernel rounds below the scalar d of ``_scalar_d`` (NumPy's exp above
-    ``math.exp``), so the upper end needs its margin; the candidates lie
-    in [-1, 2], where d1-d3 are at least 0.1.  The capped state puts
-    r*(v - 1) within 2r of the exp cap, on both sides of it (for the
-    constant kind, v near 351)."""
+    d1-d3; anywhere for the constant kind), so the prey row's max - min is
+    exactly the largest face difference and the bracket's advective end is
+    tight.  Its jumps reach 2000, below v = 0 too: for d1-d3 the advective
+    bound binds only on such jumps, and the bracket holds on any finite
+    state.  The even state has one v in every cell, so the bracket's two
+    ends read d at the kernel's own v.  Where one of 4096 candidates has
+    it, that v is one whose d the kernel rounds below the scalar d of
+    ``_scalar_d`` (NumPy's exp above ``math.exp``), so the upper end needs
+    its margin; the candidates lie in [-1, 2], where d1-d3 are at least
+    0.1.  The capped state puts r*(v - 1) within 2r of the exp cap, on both
+    sides of it (for the constant kind, v near 351)."""
     params = mot._logistic_operands
     if shape == "flat":
         u0, v0 = rng.uniform(0.1, 5.0, 2)
@@ -1244,88 +1249,50 @@ def _reference_run(cfg):
     return snaps, series, counts
 
 
+def _kernel_free_counts(monkeypatch, cfg):
+    """Assert that integrate makes no stable_dt call on ``cfg`` and that its
+    snapshots and series are bit-identical to ``_reference_run``'s; returns
+    the reference's step count of every interval."""
+    kernel, calls = solver.stable_dt, []
+
+    def counted(state, cfg):
+        calls.append(state.t)
+        return kernel(state, cfg)
+
+    monkeypatch.setattr(solver, "stable_dt", counted)
+    traj = integrate(cfg)
+    assert calls == [] and traj.stats["stable_dt_calls"] == 0
+    snaps, series, counts = _reference_run(cfg)
+    assert traj.stats["steps"] == sum(counts)
+    assert len(traj.snapshots) == len(snaps)
+    for got, (t, u, v) in zip(traj.snapshots, snaps):
+        assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
+    for name, ref in reference_series(cfg, series).items():
+        assert same_bits(getattr(traj.series, name), ref), name
+    return counts
+
+
 class TestStepBracket:
     """integrate takes an interval's step count from the workspace's bracket
     on stable_dt when the bracket's two ends give the same count, and runs
     the stable_dt kernel only when they differ."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(
-        kind=hyp.sampled_from(["d1", "d2", "d3", "constant"]),
-        d_const=hyp.floats(1e-3, 10.0),
-        chi_const=hyp.floats(-20.0, 20.0),
-        D=hyp.floats(1e-4, 30.0),
-        n=hyp.integers(8, 256),
-        ell=hyp.floats(0.1, 200.0),
-        cfl=hyp.floats(1e-6, 1.0),
-        shape=hyp.sampled_from(["flat", "steep", "large"]),
-        seed=hyp.integers(0, 2**32 - 1),
-    )
-    def test_bracket_holds_the_kernel_step_count(
-        self, kind, d_const, chi_const, D, n, ell, cfl, shape, seed
-    ):
-        if kind == "constant":
-            mot = MotilityModel.constant(d_const, chi_const)
-        else:
-            mot = MotilityModel(MotilityKind(kind))
-        cfg = cp_config(mot=mot, D=D, grid=Grid1D(ell, n), cfl_safety=cfl)
-        rng = np.random.default_rng(seed)
-        u, v = _bracket_state(rng, shape, mot, n)
-        dt = stable_dt(State(0.0, u, v), cfg)
-        y = np.stack((u, v))
-        ws = cfg._workspace
-        lower, upper = ws.dt_lower(float(y.max() - y.min())), ws.dt_upper
-        assert lower <= dt <= upper
-        # intervals at random and on both sides of the kernel's and the
-        # lower end's count boundaries, where a bound off by one rounding
-        # would change a count
-        deltas = list(dt * 10.0 ** rng.uniform(-3.0, 3.0, 4))
-        for k in (1, 2, 3, 7):
-            for edge in (k * dt, k * lower):
-                deltas += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
-        for delta in map(float, deltas):
-            n_cfl = max(1, math.ceil(delta / dt))
-            n_lo = max(1, math.ceil(delta / upper))
-            assert n_lo <= n_cfl
-            if lower > 0.0 and delta / lower < math.inf:
-                n_hi = max(1, math.ceil(delta / lower))
-                assert n_cfl <= n_hi
-                if n_hi == n_lo:
-                    assert n_cfl == n_lo
-            if delta <= n_lo * lower:  # integrate's test for a closed bracket
-                assert n_cfl == n_lo
-
     @pytest.mark.parametrize("D, steps", [(0.1, 1), (2.0, 2)], ids=["one-step", "D-above-sup-d"])
     def test_determined_intervals_run_no_kernel(self, monkeypatch, D, steps):
         # d1 at 128 cells: with D = 0.1 every 0.004 interval is below the
-        # lower end; with D = 2 >= sup d = 1 the two ends share the
-        # diffusive bound and differ by the margin only
+        # bracket's lower end; with D = 2, above every d of d1, both ends
+        # take D's diffusive bound and differ by the margin only
         cfg = cp_config(
             D=D, grid=Grid1D(8 * math.pi, 128), t_end=0.5, series_count=126,
             snapshot_count=6, perturbation=Perturbation(0.05, 2),
         )
-        kernel, calls = solver.stable_dt, []
-
-        def counted(state, cfg):
-            calls.append(state.t)
-            return kernel(state, cfg)
-
-        monkeypatch.setattr(solver, "stable_dt", counted)
-        traj = integrate(cfg)
-        assert calls == []
-        snaps, series, counts = _reference_run(cfg)
+        counts = _kernel_free_counts(monkeypatch, cfg)
         assert max(counts) == steps  # (an event pair an ulp apart takes one)
-        assert len(traj.snapshots) == len(snaps)
-        for got, (t, u, v) in zip(traj.snapshots, snaps):
-            assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
-        for name, ref in reference_series(cfg, series).items():
-            assert same_bits(getattr(traj.series, name), ref), name
 
 
 class TestPreyBracket:
-    """Where the run-constant bracket leaves an interval's step count open,
-    integrate brackets the stable_dt kernel again from the prey row's min
-    and max, and runs the kernel only when that bracket is open too."""
+    """The bracket on the stable_dt kernel comes from the prey row's min and
+    max, and holds the kernel's step count where its ends agree."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -1354,9 +1321,8 @@ class TestPreyBracket:
         u, v = _bracket_state(rng, shape, mot, n)
         dt = stable_dt(State(0.0, u, v), cfg)
         ws = cfg._workspace
-        lower, upper = ws.dt_prey(float(v.min()), float(v.max()))
+        lower, upper = ws.dt_bracket(float(v.min()), float(v.max()))
         assert lower <= dt <= upper
-        assert upper <= ws.dt_upper
         deltas = list(dt * 10.0 ** rng.uniform(-3.0, 3.0, 4))
         for k in (1, 2, 3, 7):
             for edge in (k * dt, k * lower, k * upper):
@@ -1370,40 +1336,32 @@ class TestPreyBracket:
 
     def test_decay_run_makes_no_kernel_call(self, monkeypatch):
         # the decay fixture of the acceptance suite: d1 at 128 cells,
-        # D = 0.1, prey-only.  The run-constant bracket is open on every
-        # interval (sup d = 1 > D, where d is about 0.0025), even at its
-        # largest lower end, which spread 0 gives
+        # D = 0.1, prey-only
         kin = KineticsModel.rosenzweig_macarthur(1, 1, 1, 4, 1)
         cfg = cp_config(
             kin=kin, D=0.1, grid=Grid1D(4 * math.pi, 128), t_end=120.0,
             base_state=compute_equilibria(kin).prey_only, perturbation=Perturbation(0.01, 0),
             series_count=600, snapshot_count=50,
         )
-        ws = cfg._workspace
-        events = np.union1d(
-            np.linspace(0.0, cfg.t_end, cfg.series_count),
-            np.linspace(0.0, cfg.t_end, cfg.snapshot_count),
-        )
-        assert all(
-            delta > max(1, math.ceil(delta / ws.dt_upper)) * ws.dt_lower(0.0)
-            for delta in map(float, np.diff(events))
-        )
-        kernel, calls = solver.stable_dt, []
+        _kernel_free_counts(monkeypatch, cfg)
 
-        def counted(state, cfg):
-            calls.append(state.t)
-            return kernel(state, cfg)
-
-        monkeypatch.setattr(solver, "stable_dt", counted)
-        traj = integrate(cfg)
-        assert calls == [] and traj.stats["stable_dt_calls"] == 0
-        snaps, series, counts = _reference_run(cfg)
-        assert traj.stats["steps"] == sum(counts)
-        assert len(traj.snapshots) == len(snaps)
-        for got, (t, u, v) in zip(traj.snapshots, snaps):
-            assert got.t == t and same_bits(got.u, u) and same_bits(got.v, v)
-        for name, ref in reference_series(cfg, series).items():
-            assert same_bits(getattr(traj.series, name), ref), name
+    def test_upper_end_reads_d_at_the_prey_minimum(self, monkeypatch):
+        # d1 with v = 1.6 + 1.4 cos(pi x / ell), from 0.2 to 3.0, so d runs
+        # from 0.83 down to 0.018, above D = 0.01: the kernel's diffusive
+        # bound takes d at the prey minimum.  An upper end from d at the
+        # prey maximum would lie 46x above the kernel's step and leave
+        # every interval open; from d at the minimum it closes them all
+        x = Grid1D(8 * math.pi, 64).centers()
+        v = 1.6 + 1.4 * np.cos(x / 8.0)
+        cfg = cp_config(
+            D=0.01, t_end=0.5, series_count=6, snapshot_count=3,
+            base_state=(np.full(64, CP_CO.u), v), perturbation=Perturbation(0.0, 0),
+        )
+        h, safety = cfg.grid.h, cfg.cfl_safety
+        lower, _ = cfg._workspace.dt_bracket(float(v.min()), float(v.max()))
+        upper_at_max = safety * (h * h / (2.0 * max(D1.d(float(v.max())), cfg.D)))
+        assert 0.1 > max(1, math.ceil(0.1 / upper_at_max)) * lower
+        assert min(_kernel_free_counts(monkeypatch, cfg)) >= 2
 
 
 class TestGuardErrorDetail:
